@@ -26,6 +26,10 @@ from typing import List
 
 #: The probe loop's best time on the host the benchmark was tuned on (s).
 REFERENCE_PROBE_S = 1.3e-3
+#: Least wall seconds between two speed samples, unless one is forced.
+PROBE_EVERY_S = 0.1
+#: Least wall seconds between two moves to the fastest CPU.
+REPIN_EVERY_S = 1.0
 
 #: The CPUs this process may run on, before it pins itself to one.
 CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
@@ -51,20 +55,18 @@ def _probe_on(cpu: int) -> float:
 class HostClock:
     """Speed samples over a run, and intervals converted with them."""
 
-    def __init__(self, every: float = 0.1, repin_every: float = 1.0) -> None:
-        self.every = every
-        self.repin_every = repin_every
+    def __init__(self) -> None:
         self.times: List[float] = []
         self.factors: List[float] = []
         self.pinned = -float("inf")
 
     def probe(self, force: bool = False) -> None:
-        """Take a speed sample if the last is ``every`` seconds old (or
+        """Take a speed sample if the last is ``PROBE_EVERY_S`` old (or
         ``force``). Call it only between timed operations."""
         now = time.perf_counter()
-        if not force and self.times and now - self.times[-1] < self.every:
+        if not force and self.times and now - self.times[-1] < PROBE_EVERY_S:
             return
-        if len(CPUS) > 1 and now - self.pinned >= self.repin_every:
+        if len(CPUS) > 1 and now - self.pinned >= REPIN_EVERY_S:
             os.sched_setaffinity(0, {min(CPUS, key=_probe_on)})
             self.pinned = now
         self.factors.append(REFERENCE_PROBE_S / probe_loop())
