@@ -154,16 +154,14 @@ def spanner_steiner_forest(
     )
     central = moat_growing(spanner_instance)
 
-    # Map selected spanner edges back to least-weight paths in G.
+    # Map selected spanner edges back to least-weight paths in G; the
+    # token-passing along them is bounded by the max hop count.
     edges: Set[Edge] = set()
+    max_hops = 1
     for u, v in central.solution.edges:
         path = graph.shortest_path(u, v)
         edges.update(canonical_edge(a, b) for a, b in zip(path, path[1:]))
-    # Token-passing along the selected paths: bounded by the max hop count.
-    max_hops = max(
-        (len(graph.shortest_path(u, v)) for u, v in central.solution.edges),
-        default=1,
-    )
+        max_hops = max(max_hops, len(path))
     run.charge_rounds(max_hops, "mapping spanner edges to graph paths")
     solution = ForestSolution(graph, edges)
     return SpannerResult(

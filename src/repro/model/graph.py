@@ -18,6 +18,7 @@ fractionally contained edges as used by moat growing.
 """
 
 import heapq
+from array import array
 from fractions import Fraction
 from types import MappingProxyType
 from typing import (
@@ -97,7 +98,8 @@ class WeightedGraph:
     Nodes may be arbitrary hashable, mutually comparable values; the test
     suite and generators use integers, matching the paper's O(log n)-bit
     identifiers. The structure is immutable after construction, which lets
-    expensive metrics (``D``, ``WD``, ``s``, all-pairs distances) be cached.
+    expensive metrics (``D``, ``WD``, ``s``) and each source's shortest-path
+    tree be cached.
     """
 
     def __init__(
@@ -123,8 +125,9 @@ class WeightedGraph:
         self._nodes: Tuple[Node, ...] = tuple(
             sorted(self._adj, key=repr)
         )
-        self._apd_cache: Optional[Dict[Node, Dict[Node, int]]] = None
-        self._hops_cache: Dict[Node, Dict[Node, int]] = {}
+        self._rank = {v: r for r, v in enumerate(self._nodes)}
+        self._rank_adj: Optional[List[List[Tuple[int, int]]]] = None
+        self._sssp_cache: Dict[Node, Tuple[Dict[Node, int], array, array]] = {}
         self._metric_cache: Dict[str, int] = {}
         if validate:
             self.validate()
@@ -269,55 +272,92 @@ class WeightedGraph:
     # Shortest paths (deterministic tie-breaking)
     # ------------------------------------------------------------------
 
+    def _sssp(self, source: Node) -> Tuple[Dict[Node, int], array, array]:
+        """The cached shortest-path tree of ``source``: (dist, hops, parents).
+
+        ``dist`` maps each reachable node to wd(source, v), in the order the
+        search first reaches it. ``hops`` (min hops among least-weight
+        paths) and ``parents`` (-1: none) are indexed by rank, the position
+        in :attr:`nodes`, which is repr order. Settling in (dist, hops,
+        rank) order fixes a node's hops before it relaxes any neighbor.
+        """
+        cached = self._sssp_cache.get(source)
+        if cached is not None:
+            return cached
+        if self._rank_adj is None:
+            rank = self._rank
+            self._rank_adj = [
+                [(rank[v], w) for v, w in self._adj[u].items()]
+                for u in self._nodes
+            ]
+        adj = self._rank_adj
+        n = len(self._nodes)
+        s = self._rank[source]
+        dist: List[Optional[int]] = [None] * n
+        hops = [-1] * n
+        parent = [-1] * n
+        dist[s] = hops[s] = 0
+        reached = [s]
+        done = bytearray(n)
+        heap = [(0, 0, s)]
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            d, h, u = pop(heap)
+            if done[u]:
+                continue
+            done[u] = 1
+            h += 1
+            for v, w in adj[u]:
+                nd = d + w
+                dv = dist[v]
+                if dv is None:
+                    reached.append(v)
+                elif nd > dv or nd == dv and (h, u) >= (hops[v], parent[v]):
+                    continue
+                dist[v] = nd
+                hops[v] = h
+                parent[v] = u
+                push(heap, (nd, h, v))
+        nodes = self._nodes
+        cached = (
+            {nodes[r]: dist[r] for r in reached},
+            array("i", hops),
+            array("i", parent),
+        )
+        self._sssp_cache[source] = cached
+        return cached
+
     def dijkstra(
         self, source: Node
     ) -> Tuple[Dict[Node, int], Dict[Node, Optional[Node]]]:
         """Single-source shortest paths with deterministic tie-breaking.
 
         Among least-weight paths, prefers fewer hops, then the
-        lexicographically smallest predecessor. Returns (distances, parents);
-        ``parents[source] is None``.
+        lexicographically smallest predecessor. Returns fresh
+        (distances, parents) dicts; ``parents[source] is None``.
         """
-        dist: Dict[Node, int] = {source: 0}
-        hops: Dict[Node, int] = {source: 0}
-        parent: Dict[Node, Optional[Node]] = {source: None}
-        # Heap entries: (dist, hops, repr(node), node) — repr gives a total
-        # order over mixed node types while staying deterministic for ints.
-        heap: List[Tuple[int, int, str, Node]] = [(0, 0, repr(source), source)]
-        done: Set[Node] = set()
-        while heap:
-            d, h, _, u = heapq.heappop(heap)
-            if u in done:
-                continue
-            done.add(u)
-            for v, w in self._adj[u].items():
-                cand = (d + w, h + 1, repr(u))
-                best = (
-                    dist.get(v),
-                    hops.get(v),
-                    repr(parent.get(v)),
-                )
-                if v not in dist or cand < best:
-                    dist[v] = d + w
-                    hops[v] = h + 1
-                    parent[v] = u
-                    heapq.heappush(heap, (d + w, h + 1, repr(v), v))
-        return dist, parent
+        dist, _, parent = self._sssp(source)
+        nodes, rank = self._nodes, self._rank
+        parents: Dict[Node, Optional[Node]] = {
+            v: nodes[parent[rank[v]]] for v in dist
+        }
+        parents[source] = None
+        return dict(dist), parents
 
     def distance(self, u: Node, v: Node) -> int:
         """Weighted distance wd(u, v)."""
-        return self.all_pairs_distances()[u][v]
+        return self._sssp(u)[0][v]
 
     def shortest_path(self, u: Node, v: Node) -> List[Node]:
         """A deterministic least-weight path from ``u`` to ``v`` (node list)."""
-        _, parent = self.dijkstra(u)
-        if v not in parent:
+        dist, _, parent = self._sssp(u)
+        if v not in dist:
             raise GraphValidationError(f"{v!r} unreachable from {u!r}")
         path = [v]
-        while path[-1] != u:
-            nxt = parent[path[-1]]
-            assert nxt is not None
-            path.append(nxt)
+        r = parent[self._rank[v]]
+        while r >= 0:
+            path.append(self._nodes[r])
+            r = parent[r]
         path.reverse()
         return path
 
@@ -331,39 +371,21 @@ class WeightedGraph:
         return sum(self._adj[a][b] for a, b in zip(path, path[1:]))
 
     def all_pairs_distances(self) -> Dict[Node, Dict[Node, int]]:
-        """All-pairs weighted distances (cached)."""
-        if self._apd_cache is None:
-            self._apd_cache = {
-                v: self.dijkstra(v)[0] for v in self._nodes
-            }
-        return self._apd_cache
+        """All-pairs weighted distances: source → its cached distance row."""
+        return {v: self._sssp(v)[0] for v in self._nodes}
 
     def min_hop_shortest_path_hops(self, source: Node) -> Dict[Node, int]:
         """For each node, the min hop count among least-weight paths from
-        ``source`` (cached per source).
+        ``source``, in order of (distance, repr).
 
         This is the inner quantity of the shortest-path diameter ``s``.
         """
-        if source in self._hops_cache:
-            return self._hops_cache[source]
-        dist, _ = self.dijkstra(source)
-        # DP over the shortest-path DAG in order of increasing distance.
-        hops: Dict[Node, int] = {source: 0}
-        for v in sorted(
-            self._nodes, key=lambda x: (dist[x], repr(x))
-        ):
-            if v == source:
-                continue
-            best = None
-            for u, w in self._adj[v].items():
-                if dist[u] + w == dist[v] and u in hops:
-                    cand = hops[u] + 1
-                    if best is None or cand < best:
-                        best = cand
-            assert best is not None, "shortest-path DAG must be connected"
-            hops[v] = best
-        self._hops_cache[source] = hops
-        return hops
+        dist, hops, _ = self._sssp(source)
+        rank = self._rank
+        reached = [v for v in self._nodes if v in dist]
+        return {
+            v: hops[rank[v]] for v in sorted(reached, key=dist.__getitem__)
+        }
 
     # ------------------------------------------------------------------
     # Paper metrics
@@ -402,11 +424,9 @@ class WeightedGraph:
     def shortest_path_diameter(self) -> int:
         """s — max over pairs of min hops among least-weight paths (cached)."""
         if "s" not in self._metric_cache:
-            best = 0
-            for source in self._nodes:
-                hops = self.min_hop_shortest_path_hops(source)
-                best = max(best, max(hops.values()))
-            self._metric_cache["s"] = best
+            self._metric_cache["s"] = max(
+                max(self._sssp(v)[1]) for v in self._nodes
+            )
         return self._metric_cache["s"]
 
     # ------------------------------------------------------------------
@@ -421,7 +441,7 @@ class WeightedGraph:
         radius at ``w`` (from both endpoints if both are inside).
         """
         radius = Fraction(radius)
-        dist, _ = self.dijkstra(center)
+        dist = self._sssp(center)[0]
         nodes = frozenset(v for v, d in dist.items() if d <= radius)
         edge_fractions: Dict[Edge, Fraction] = {}
         for u, v, w in self.edges():

@@ -535,10 +535,11 @@ def bellman_ford_numpy(
     if denom != d0_denom:
         factor = denom // d0_denom
         d0_values = [d * factor for d in d0_values]
-    # Worst-case reachable distance: any source offset plus n-1 hops.
+    # Worst-case candidate distance: any source offset plus n hops (a
+    # settled distance of at most n-1 hops, plus the edge it relaxes).
     max_w = int(w_scaled.max()) if w_scaled.size else 0
     max_d0 = max((abs(d) for d in d0_values), default=0)
-    if max_d0 + max(0, n - 1) * max(0, max_w) >= INT64_LIMIT:
+    if max_d0 + n * max(0, max_w) >= INT64_LIMIT:
         return None
     assert_int64_bounds(w_scaled, "bellman_ford weights")
 

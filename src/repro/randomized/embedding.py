@@ -172,13 +172,12 @@ def build_embedding(
     # level, each bounded by the hop length of the embedding paths
     # (≤ min{s, Õ(√n)}), plus a BFS tree for coordination.
     tree = build_bfs_tree(graph, run)
-    hop_bound = _measure_max_path_hops(graph, ancestors, nearest_s)
+    hop_bound, max_paths = _measure_embedding_paths(graph, ancestors, nearest_s)
     run.charge_rounds(
         levels * max(1, hop_bound),
         "LE-list level sweeps of the tree construction ([14], Lemma G.2)",
     )
 
-    max_paths = _measure_paths_per_node(graph, ancestors, nearest_s)
     return VirtualTreeEmbedding(
         graph,
         rank,
@@ -192,30 +191,14 @@ def build_embedding(
     )
 
 
-def _measure_max_path_hops(
+def _measure_embedding_paths(
     graph: WeightedGraph,
     ancestors: Dict[Node, List[Node]],
     nearest_s: Dict[Node, Optional[Node]],
-) -> int:
-    """Max hop length over all embedding paths (v → each ancestor / S)."""
-    best = 0
-    for v, chain in ancestors.items():
-        targets = set(chain)
-        if nearest_s[v] is not None:
-            targets.add(nearest_s[v])
-        for u in targets:
-            if u == v:
-                continue
-            best = max(best, len(graph.shortest_path(v, u)) - 1)
-    return best
-
-
-def _measure_paths_per_node(
-    graph: WeightedGraph,
-    ancestors: Dict[Node, List[Node]],
-    nearest_s: Dict[Node, Optional[Node]],
-) -> int:
-    """Max number of distinct embedding paths through any physical node."""
+) -> Tuple[int, int]:
+    """Over all embedding paths (v → each ancestor / S): the max hop
+    length, and the max number of distinct paths through one node."""
+    max_hops = 0
     load: Dict[Node, Set[Tuple[Node, Node]]] = {v: set() for v in graph.nodes}
     for v, chain in ancestors.items():
         targets = set(chain)
@@ -224,6 +207,8 @@ def _measure_paths_per_node(
         for u in targets:
             if u == v:
                 continue
-            for x in graph.shortest_path(v, u):
+            path = graph.shortest_path(v, u)
+            max_hops = max(max_hops, len(path) - 1)
+            for x in path:
                 load[x].add((v, u))
-    return max((len(paths) for paths in load.values()), default=0)
+    return max_hops, max((len(paths) for paths in load.values()), default=0)

@@ -20,7 +20,7 @@ rounds — set ``naive=True`` to instead force one message per node per round
 """
 
 from collections import deque
-from typing import Deque, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, Hashable, List, Set, Tuple
 
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.run import CongestRun
@@ -125,26 +125,14 @@ def _route_level(
     # in-tree ("the messages induce a tree rooted at w in G"), so the
     # per-(λ, w) filtering can never strand a label: each filtering point
     # lies on the path of an earlier message that is strictly closer to w.
-    parent_cache: Dict[Node, Dict[Node, Optional[Node]]] = {}
-
-    def path_to(v: Node, w: Node) -> List[Node]:
-        if w not in parent_cache:
-            parent_cache[w] = graph.dijkstra(w)[1]
-        parents = parent_cache[w]
-        chain = [v]
-        while chain[-1] != w:
-            nxt = parents[chain[-1]]
-            assert nxt is not None
-            chain.append(nxt)
-        return chain
-
     for carrier, label, dest in sorted(sends, key=repr):
         if carrier == dest:
             dest_map = delivered.setdefault(dest, {})
             dest_map.setdefault(label, carrier)
             backtrace.setdefault(dest, [carrier])
             continue
-        enqueue(_Message(label, dest, carrier, path_to(carrier, dest)))
+        path = graph.shortest_path(dest, carrier)[::-1]
+        enqueue(_Message(label, dest, carrier, path))
 
     rounds = 0
     while any(q for per_dest in queues.values() for q in per_dest.values()):

@@ -297,14 +297,33 @@ class TestScalingGuards:
 
     def test_near_bound_weights_decline_and_fall_back(self):
         # 2^61 weights compile (below the 2^62 gate) but the BF bound
-        # check (n-1)·max_w must decline; conformance still holds via
-        # the fallback branch.
+        # check n·max_w must decline; conformance still holds via the
+        # fallback branch.
         graph = _build_graph("path", 6, 5, "duplicate-large")
         sources = {graph.nodes[0]: (Fraction(0), "A")}
         ref_run = CongestRun(graph)
         ref = bellman_ford(graph, sources, ref_run)
         np_run = NumpyCongestRun(graph)
         fast = bellman_ford(graph, sources, np_run)
+        assert list(ref.dist.items()) == list(fast.dist.items())
+        assert _ledger_fp(ref_run) == _ledger_fp(np_run)
+
+    def test_bound_covers_candidates_one_hop_past_n_minus_1(self):
+        # Settled distances reach only 2^62 - 2 (at n02, n-1 = 2 hops),
+        # but n02 then offers 3·(2^61 - 1) back to n01: an n-1 hop
+        # bound let the kernel run into its int64 assertion.
+        weight = 2 ** 61 - 1
+        graph = WeightedGraph(
+            ["n00", "n01", "n02"],
+            [("n00", "n01", weight), ("n01", "n02", weight)],
+            validate=False,
+        )
+        sources = {"n00": (Fraction(0), "A")}
+        ref_run = CongestRun(graph)
+        ref = bellman_ford(graph, sources, ref_run)
+        np_run = NumpyCongestRun(graph)
+        fast = bellman_ford(graph, sources, np_run)
+        assert ref.dist["n02"] == 2 ** 62 - 2
         assert list(ref.dist.items()) == list(fast.dist.items())
         assert _ledger_fp(ref_run) == _ledger_fp(np_run)
 
