@@ -17,24 +17,12 @@ surviving merges have reached the root, giving O(D + |result|) rounds overall
 ``stop_predicate`` hook implements).
 """
 
-from bisect import insort
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 from repro.congest.bfs import BFSTree
 from repro.congest.run import CongestRun
 from repro.model.graph import Node
 from repro.perf.profiler import maybe_span
-from repro.util import UnionFind
 
 
 class MergeItem:
@@ -73,30 +61,6 @@ class MergeItem:
         return f"MergeItem(key={self.key!r}, {self.a!r}–{self.b!r})"
 
 
-def _kruskal_filter(
-    items: Sequence[MergeItem],
-    base_component: Mapping[Hashable, Hashable],
-    presorted: bool = False,
-) -> List[MergeItem]:
-    """Ascending Kruskal scan: keep merges that do not close cycles.
-
-    ``base_component`` maps each entity to its connectivity component under
-    the already-fixed forest F'_c (entities absent from the mapping are their
-    own components). ``presorted`` skips the ascending sort when the caller
-    maintains the buffer in key order (the compiled-ledger fast path) —
-    item keys are unique within a buffer, so a maintained order and a
-    fresh stable sort are the same sequence.
-    """
-    uf = UnionFind()
-    alive: List[MergeItem] = []
-    for item in items if presorted else sorted(items):
-        rep_a = base_component.get(item.a, item.a)
-        rep_b = base_component.get(item.b, item.b)
-        if uf.union(rep_a, rep_b):
-            alive.append(item)
-    return alive
-
-
 def pipelined_filtered_upcast(
     tree: BFSTree,
     local_items: Dict[Node, List[MergeItem]],
@@ -117,25 +81,24 @@ def pipelined_filtered_upcast(
             exactly that prefix is returned (Corollary 4.16's early stop at
             the end of a merge phase). Prefixes are finalized using the
             pipelining invariant: after depth + i rounds the i smallest
-            surviving merges are at the root.
+            surviving merges are at the root, so each prefix is offered
+            once, in increasing length.
 
     Returns the accepted merges in ascending order.
 
-    A :class:`~repro.perf.FastCongestRun` engages the compiled fast
-    branch: per-node buffers are maintained in ascending key order
-    (``insort`` on arrival) so the Kruskal filter never re-sorts, and
-    ledger charges use precompiled canonical edges. Profiling showed the
-    per-round re-sorts were the single hottest part of the whole paper
-    pipeline; the accepted merges, round counts, and ledger end state
-    are identical either way (tests/test_perf.py).
+    Every key is ranked once on entry (one sort of the pooled items;
+    equal keys share a rank), so the per-node state is integers only: a
+    node keeps the first item to arrive for each rank (both directions
+    of an edge may carry the same key) and its surviving ranks in
+    ascending order, and the Kruskal filter runs over integer component
+    ids and stops once every component is joined. All ledgers take this
+    one path; only the traffic charge differs (precompiled canonical
+    edges on a :class:`~repro.perf.FastCongestRun`).
     """
-    compiled = getattr(run, "compiled", None)
-    fast = compiled is not None
     profiler = getattr(run, "profiler", None)
     with maybe_span(profiler, "pipelined-upcast"):
         return _pipelined_filtered_upcast(
-            tree, local_items, base_component, run, stop_predicate, fast,
-            compiled,
+            tree, local_items, base_component, run, stop_predicate
         )
 
 
@@ -145,116 +108,139 @@ def _pipelined_filtered_upcast(
     base_component: Mapping[Hashable, Hashable],
     run: CongestRun,
     stop_predicate: Optional[Callable[[List[MergeItem]], bool]],
-    fast: bool,
-    compiled,
 ) -> List[MergeItem]:
-    buffers: Dict[Node, List[MergeItem]] = {v: [] for v in tree.parent}
-    announced: Dict[Node, Set[tuple]] = {v: set() for v in tree.parent}
-    seen: Dict[Node, Set[tuple]] = {v: set() for v in tree.parent}
+    pooled = [item for items in local_items.values() for item in items]
+    keys = [item.key for item in pooled]
+    rank = [0] * len(pooled)
+    current, previous = -1, None
+    for index in sorted(range(len(keys)), key=keys.__getitem__):
+        if current < 0 or keys[index] != previous:
+            current, previous = current + 1, keys[index]
+        rank[index] = current
+    entity_id = dict.fromkeys(e for item in pooled for e in (item.a, item.b))
+    component_id: Dict[Hashable, int] = {}
+    for e in entity_id:
+        entity_id[e] = component_id.setdefault(
+            base_component.get(e, e), len(component_id)
+        )
+    ends = [(entity_id[item.a], entity_id[item.b]) for item in pooled]
+    joins_needed = len(component_id) - 1
+
+    # seen[v]: rank → pooled index of the first item of that key to reach v.
+    seen: Dict[Node, Dict[int, int]] = {v: {} for v in tree.parent}
+    index = 0
     for v, items in local_items.items():
-        for item in items:
-            if item.key not in seen[v]:
-                seen[v].add(item.key)
-                buffers[v].append(item)
-    if fast:
-        for buffer in buffers.values():
-            buffer.sort()
-        # A buffer only changes through arrivals and base_component is
-        # fixed for the whole collection, so each node's filtered list
-        # is cached and recomputed only when its buffer changed — most
-        # buffers go quiet after a few rounds. scan_from[v] skips the
-        # already-announced prefix of an unchanged filtered list (the
-        # announced set only grows; it resets on recompute).
-        alive_cache: Dict[Node, List[MergeItem]] = {}
-        scan_from: Dict[Node, int] = {}
+        for _ in items:
+            seen[v].setdefault(rank[index], index)
+            index += 1
 
-        def get_alive(v: Node) -> List[MergeItem]:
-            cached = alive_cache.get(v)
-            if cached is None:
-                cached = alive_cache[v] = _kruskal_filter(
-                    buffers[v], base_component, presorted=True
-                )
-                scan_from[v] = 0
-            return cached
-    else:
-        def get_alive(v: Node) -> List[MergeItem]:
-            return _kruskal_filter(buffers[v], base_component)
+    def kruskal(v: Node, ranks: List[int]) -> List[int]:
+        """The ranks (ascending) that keep v's merges cycle-free."""
+        first = seen[v]
+        parent: Dict[int, int] = {}  # component roots are absent
+        kept: List[int] = []
+        for r in ranks:
+            if len(kept) == joins_needed:
+                break  # every component is joined: the rest close cycles
+            x, y = ends[first[r]]
+            while x in parent:
+                parent[x] = parent.get(parent[x], parent[x])
+                x = parent[x]
+            while y in parent:
+                parent[y] = parent.get(parent[y], parent[y])
+                y = parent[y]
+            if x != y:
+                parent[x] = y
+                kept.append(r)
+        return kept
 
+    # alive[v]: the cycle-free merges among all v has seen. Adding merges
+    # never revives a discarded one (the discarded merge still closes its
+    # cycle), so arrivals are filtered together with alive[v] alone.
+    alive = {v: kruskal(v, sorted(first)) for v, first in seen.items()}
+    # scan_from[v] skips the announced prefix of an unchanged alive[v];
+    # pending holds the nodes that may still have something to announce.
+    announced: Dict[Node, Set[int]] = {v: set() for v in tree.parent}
+    scan_from = dict.fromkeys(tree.parent, 0)
+    position = {v: i for i, v in enumerate(tree.parent)}
+    pending = {v for v, kept in alive.items() if kept and v != tree.root}
+
+    root_seen = seen[tree.root]
+    checked = 0
+
+    def stop_at(kept: List[int], finalized: int) -> Optional[List[MergeItem]]:
+        # Offer each newly finalized prefix to the predicate once.
+        nonlocal checked
+        if stop_predicate is None or finalized <= checked:
+            return None
+        prefix = [pooled[root_seen[r]] for r in kept[:finalized]]
+        for cut in range(checked + 1, finalized + 1):
+            if stop_predicate(prefix[:cut]):
+                return prefix[:cut]
+        checked = finalized
+        return None
+
+    compiled = getattr(run, "compiled", None)
     rounds_in_primitive = 0
     while True:
         # Root-side early stop on the finalized prefix.
-        root_alive = get_alive(tree.root)
-        finalized = max(0, rounds_in_primitive - tree.depth)
-        prefix = root_alive[: min(finalized, len(root_alive))]
-        if stop_predicate is not None:
-            for cut in range(1, len(prefix) + 1):
-                if stop_predicate(prefix[:cut]):
-                    run.charge_rounds(
-                        tree.depth, "phase-end stop broadcast (Cor. 4.16)"
-                    )
-                    return prefix[:cut]
+        root_alive = alive[tree.root]
+        stopped = stop_at(
+            root_alive,
+            min(max(0, rounds_in_primitive - tree.depth), len(root_alive)),
+        )
+        if stopped is not None:
+            run.charge_rounds(
+                tree.depth, "phase-end stop broadcast (Cor. 4.16)"
+            )
+            return stopped
 
-        traffic: Dict[Tuple[Node, Node], int] = {}
-        charges: List = []
-        arrivals: List[Tuple[Node, MergeItem]] = []
-        for v in tree.parent:
-            if v == tree.root:
+        # Senders go in tree order: it decides which of two equal keys
+        # reaching one parent in the same round arrives first.
+        arrivals: List[Tuple[Node, Node, int, int]] = []
+        for v in sorted(pending, key=position.__getitem__):
+            kept, done = alive[v], announced[v]
+            at = scan_from[v]
+            while at < len(kept) and kept[at] in done:
+                at += 1
+            scan_from[v] = at
+            if at == len(kept):
+                pending.discard(v)
                 continue
-            alive = get_alive(v)
-            candidate = None
-            if fast:
-                index = scan_from[v]
-                alive_count = len(alive)
-                while index < alive_count:
-                    item = alive[index]
-                    if item.key not in announced[v]:
-                        candidate = item
-                        break
-                    index += 1
-                scan_from[v] = index
-            else:
-                for item in alive:
-                    if item.key not in announced[v]:
-                        candidate = item
-                        break
-            if candidate is None:
-                continue
-            parent = tree.parent[v]
-            assert parent is not None
-            announced[v].add(candidate.key)
-            if fast:
-                charges.append(compiled.canon[(v, parent)])
-            else:
-                traffic[(v, parent)] = 1
-            arrivals.append((parent, candidate))
+            r = kept[at]
+            done.add(r)
+            arrivals.append((v, tree.parent[v], r, seen[v][r]))
 
         if not arrivals:
-            # Sends depend only on buffers and the announced sets, and
-            # buffers change only through sends — one quiet round means the
-            # system is quiescent. Charge O(depth) for the convergecast that
-            # detects this (Lemma 4.14's termination detection).
+            # Sends depend only on the alive lists and the announced sets,
+            # and alive lists change only through sends — one quiet round
+            # means the system is quiescent. Charge O(depth) for the
+            # convergecast that detects this (Lemma 4.14's termination
+            # detection).
             run.charge_rounds(
                 tree.depth, "termination detection (Lemma 4.14)"
             )
-            final = get_alive(tree.root)
-            if stop_predicate is not None:
-                for cut in range(1, len(final) + 1):
-                    if stop_predicate(final[:cut]):
-                        return final[:cut]
-            return final
+            final = alive[tree.root]
+            stopped = stop_at(final, len(final))
+            if stopped is not None:
+                return stopped
+            return [pooled[root_seen[r]] for r in final]
 
         rounds_in_primitive += 1
-        if fast:
+        if compiled is not None:
             run.tick()
-            run.charge_messages(charges)
-            for parent, item in arrivals:
-                if item.key not in seen[parent]:
-                    seen[parent].add(item.key)
-                    insort(buffers[parent], item)
-                    alive_cache.pop(parent, None)
+            canon = compiled.canon
+            run.charge_messages([canon[(v, p)] for v, p, _, _ in arrivals])
         else:
-            run.tick(traffic)
-            for parent, item in arrivals:
-                if item.key not in seen[parent]:
-                    seen[parent].add(item.key)
-                    buffers[parent].append(item)
+            run.tick({(v, p): 1 for v, p, _, _ in arrivals})
+        fresh: Dict[Node, List[int]] = {}
+        for _, parent, r, index in arrivals:
+            first = seen[parent]
+            if r not in first:
+                first[r] = index
+                fresh.setdefault(parent, []).append(r)
+        for v, ranks in fresh.items():
+            alive[v] = kruskal(v, sorted(alive[v] + ranks))
+            scan_from[v] = 0
+            if v != tree.root:
+                pending.add(v)

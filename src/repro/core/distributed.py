@@ -45,7 +45,9 @@ Theorem 4.17.
 """
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from itertools import chain
+from math import lcm
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.bellman_ford import bellman_ford
@@ -58,6 +60,17 @@ from repro.model.instance import SteinerForestInstance
 from repro.model.solution import ForestSolution
 from repro.perf.profiler import maybe_span
 from repro.util import UnionFind
+
+
+def merge_grid(values: Iterable[Fraction]) -> int:
+    """The phase's integer grid: 2 · lcm of the denominators of ``values``.
+
+    Every ψ and leftover of a phase is a multiple of 1/L for L the lcm of
+    their denominators, so each candidate weight µ (a half-sum or a sum
+    of them and an integer edge weight) is a multiple of 1/(2L): µ · grid
+    is an int that orders and compares exactly like µ.
+    """
+    return 2 * lcm(1, *{value.denominator for value in values})
 
 
 class AcceptedMerge:
@@ -249,12 +262,16 @@ def distributed_moat_growing(
     merges: List[AcceptedMerge] = []
     forest_edges: Set[Edge] = set()
     phase = 0
-    max_phases = 2 * max(1, instance.num_components) + 1
+    max_phases = 2 * max(1, instance.num_components)
+    terminal_repr = {t: repr(t) for t in instance.terminals}
+    edges = graph.edges()
+    edge_repr: Dict[Edge, str] = {}
     while state.has_active():
         phase += 1
         if phase > max_phases:
             raise SimulationError(
-                f"exceeded the 2k merge-phase bound (Lemma 4.4): {phase}"
+                f"exceeded the 2k merge-phase bound (Lemma 4.4): "
+                f"phase {phase} > 2k = {max_phases}"
             )
         run.set_phase(f"phase-{phase}")
 
@@ -263,42 +280,36 @@ def distributed_moat_growing(
         # Sources: all nodes covered by *active* moats, distance 0, tagged
         # by their tree owner. Nodes of inactive regions are blocked.
         # --------------------------------------------------------------
+        # Ŵ_j is fixed within the phase (leftover only changes at phase
+        # end), so each edge's reduced weight is computed once instead of
+        # once per relaxation round.
+        rw_cache: Dict[Tuple[Node, Node], Fraction] = {}
+
         def reduced_weight(x: Node, y: Node) -> Fraction:
-            w = Fraction(graph.weight(x, y))
-            cov = Fraction(0)
-            for endpoint in (x, y):
-                lo = leftover.get(endpoint)
-                if lo is not None and lo > 0:
-                    cov += min(w, lo)
-            return max(Fraction(0), w - cov)
+            value = rw_cache.get((x, y))
+            if value is None:
+                w = Fraction(graph.weight(x, y))
+                cov = Fraction(0)
+                for endpoint in (x, y):
+                    lo = leftover.get(endpoint)
+                    if lo is not None and lo > 0:
+                        cov += min(w, lo)
+                # Ŵ_j is symmetric in the endpoints: fill both directions.
+                value = max(Fraction(0), w - cov)
+                rw_cache[(x, y)] = rw_cache[(y, x)] = value
+            return value
 
-        if compiled is not None:
-            # Ŵ_j is fixed within the phase (leftover only changes at
-            # phase end), so each directed edge's reduced weight is
-            # computed once instead of once per relaxation round.
-            rw_cache: Dict[Tuple[Node, Node], Fraction] = {}
-            plain_reduced_weight = reduced_weight
+        if npc is not None:
+            # Precompute the whole phase's Ŵ_j on the scaled int64 grid;
+            # the Bellman–Ford kernel picks it up through the
+            # ``np_scaled`` hook. None (unscalable leftovers) simply
+            # leaves the hook unset — the kernel then scales the python
+            # callable itself or declines entirely.
+            from repro.perf.npkernels import scaled_reduced_weights
 
-            def reduced_weight(x: Node, y: Node) -> Fraction:
-                value = rw_cache.get((x, y))
-                if value is None:
-                    # Ŵ_j is symmetric in the endpoints: fill both
-                    # directions from one computation.
-                    value = plain_reduced_weight(x, y)
-                    rw_cache[(x, y)] = rw_cache[(y, x)] = value
-                return value
-
-            if npc is not None:
-                # Precompute the whole phase's Ŵ_j on the scaled int64
-                # grid; the Bellman–Ford kernel picks it up through the
-                # ``np_scaled`` hook. None (unscalable leftovers) simply
-                # leaves the hook unset — the kernel then scales the
-                # python callable itself or declines entirely.
-                from repro.perf.npkernels import scaled_reduced_weights
-
-                np_scaled = scaled_reduced_weights(npc, leftover)
-                if np_scaled is not None:
-                    reduced_weight.np_scaled = np_scaled  # type: ignore[attr-defined]
+            np_scaled = scaled_reduced_weights(npc, leftover)
+            if np_scaled is not None:
+                reduced_weight.np_scaled = np_scaled  # type: ignore[attr-defined]
 
         sources = {}
         blocked: Set[Node] = set()
@@ -324,22 +335,6 @@ def distributed_moat_growing(
             if bf.parent[x] is not None:
                 tree_parent[x] = bf.parent[x]
 
-        def psi(x: Node) -> Fraction:
-            lo = leftover.get(x, Fraction(0))
-            return tree_dist.get(x, Fraction(0)) - lo
-
-        if compiled is not None:
-            # ψ is fixed for the rest of the phase; each endpoint of a
-            # cross-tree edge queries it once instead of per direction.
-            psi_cache: Dict[Node, Fraction] = {}
-            plain_psi = psi
-
-            def psi(x: Node) -> Fraction:
-                value = psi_cache.get(x)
-                if value is None:
-                    value = psi_cache[x] = plain_psi(x)
-                return value
-
         def path_to_owner(x: Node) -> List[Node]:
             chain = [x]
             while tree_parent[chain[-1]] is not None:
@@ -348,7 +343,8 @@ def distributed_moat_growing(
 
         # --------------------------------------------------------------
         # Step (b): one round of owner exchange, then local candidate
-        # construction for cross-tree edges.
+        # construction for cross-tree edges, keyed on the phase's integer
+        # grid: µ·grid orders exactly like µ.
         # --------------------------------------------------------------
         if compiled is not None:
             run.tick()
@@ -357,67 +353,42 @@ def distributed_moat_growing(
             run.tick({
                 (x, y): 1 for x in graph.nodes for y in graph.neighbors(x)
             })
+        grid = merge_grid(chain(tree_dist.values(), leftover.values()))
+
+        def scaled(value: Union[int, Fraction]) -> int:
+            return value.numerator * (grid // value.denominator)
+
+        psi = {
+            x: scaled(tree_dist.get(x, 0)) - scaled(leftover.get(x, 0))
+            for x, own in tree_owner.items()
+            if own is not None
+        }
+        active = {t: state.is_active(t) for t in instance.terminals}
         local_candidates: Dict[Node, List[MergeItem]] = {
             v: [] for v in graph.nodes
         }
-        if compiled is not None:
-            # Activity is constant during candidate construction, and
-            # the compiled topology memoizes node/edge reprs and the
-            # directed-pair → canonical-edge map.
-            reprs = compiled.repr_of
-            canon = compiled.canon
-            edge_repr = compiled.edge_repr
-            active_memo: Dict[Node, bool] = {}
-
-            def is_active(owner_terminal: Node) -> bool:
-                value = active_memo.get(owner_terminal)
-                if value is None:
-                    value = active_memo[owner_terminal] = state.is_active(
-                        owner_terminal
-                    )
-                return value
-
-            edge_iter = compiled.undirected_edges
-        else:
-            is_active = state.is_active
-            edge_iter = graph.edges()
-        for x, y, w in edge_iter:
-            ox, oy = tree_owner.get(x), tree_owner.get(y)
+        for x, y, w in edges:
+            ox, oy = tree_owner[x], tree_owner[y]
             if ox is None or oy is None or ox == oy:
                 continue
-            for a, b in ((x, y), (y, x)):
-                oa, ob = tree_owner[a], tree_owner[b]
-                if not is_active(oa):
+            edge = (x, y)  # graph.edges() is in canonical order
+            rx, ry = terminal_repr[ox], terminal_repr[oy]
+            pair = (rx, ry) if rx <= ry else (ry, rx)
+            er = edge_repr.get(edge)
+            if er is None:
+                er = edge_repr[edge] = repr(edge)
+            for a, b, oa, ob in ((x, y, ox, oy), (y, x, oy, ox)):
+                if not active[oa]:
                     continue  # Definition 4.11 requires the active side
-                if is_active(ob):
-                    mu = (Fraction(w) + psi(a) + psi(b)) / 2
+                if active[ob]:
+                    mu = (w * grid + psi[a] + psi[b]) // 2
                 else:
-                    mu = Fraction(w) + psi(a) - leftover.get(b, Fraction(0))
-                if compiled is not None:
-                    ra, rb = reprs[oa], reprs[ob]
-                    edge = canon[(a, b)]
-                    item = MergeItem(
-                        key=(
-                            mu,
-                            (ra, rb) if ra <= rb else (rb, ra),
-                            edge_repr(edge),
-                        ),
-                        a=oa,
-                        b=ob,
-                        payload=(edge, a, b),
+                    mu = w * grid + psi[a] - scaled(leftover.get(b, 0))
+                local_candidates[a].append(
+                    MergeItem(
+                        key=(mu, pair, er), a=oa, b=ob, payload=(edge, a, b)
                     )
-                else:
-                    item = MergeItem(
-                        key=(
-                            mu,
-                            tuple(sorted((repr(oa), repr(ob)))),
-                            repr(canonical_edge(a, b)),
-                        ),
-                        a=oa,
-                        b=ob,
-                        payload=(canonical_edge(a, b), a, b),
-                    )
-                local_candidates[a].append(item)
+                )
 
         # --------------------------------------------------------------
         # Step (c): pipelined filtered collection with phase-end stop.
@@ -443,20 +414,21 @@ def distributed_moat_growing(
         # Step (d): broadcast the accepted merges; all nodes update their
         # replicated bookkeeping locally.
         # --------------------------------------------------------------
+        mus = [Fraction(item.key[0], grid) for item in accepted]
         broadcast_items(
             tree,
-            [(item.a, item.b, item.key[0]) for item in accepted],
+            [(item.a, item.b, mu) for item, mu in zip(accepted, mus)],
             run,
         )
-        mu_phase: Fraction = accepted[-1].key[0]
-        for item in accepted:
+        mu_phase = mus[-1]
+        for item, mu in zip(accepted, mus):
             edge, a_side, b_side = item.payload  # type: ignore[misc]
             path = list(reversed(path_to_owner(a_side)))
             path += path_to_owner(b_side)
             merges.append(
                 AcceptedMerge(
                     phase=phase,
-                    mu=item.key[0],
+                    mu=mu,
                     terminal_a=item.a,
                     terminal_b=item.b,
                     edge=edge,

@@ -84,9 +84,7 @@ class CompiledTopology:
         "degree",
         "full_counter",
         "num_directed",
-        "undirected_edges",
         "_tag_repr",
-        "_edge_repr",
     )
 
     def __init__(self, graph: WeightedGraph) -> None:
@@ -118,14 +116,10 @@ class CompiledTopology:
         self.degree = degree
         self.full_counter = full
         self.num_directed = sum(degree.values())
-        #: The graph's canonical (u, v, weight) list, computed once
-        #: (``WeightedGraph.edges`` rebuilds it per call).
-        self.undirected_edges = tuple(graph.edges())
         # repr memo for arbitrary hashable tags (Bellman–Ford regions).
         # Keyed by (type, value): hash-equal values of different types
         # (True vs 1) must not share a cached repr.
         self._tag_repr: Dict[Tuple[type, Any], str] = {}
-        self._edge_repr: Dict[Edge, str] = {}
 
     def tag_repr(self, tag: Any) -> str:
         """``repr(tag)``, memoized (tags repeat across relaxation rounds)."""
@@ -133,13 +127,6 @@ class CompiledTopology:
         cached = self._tag_repr.get(key)
         if cached is None:
             cached = self._tag_repr[key] = repr(tag)
-        return cached
-
-    def edge_repr(self, edge: Edge) -> str:
-        """``repr(edge)``, memoized (candidate keys repeat per phase)."""
-        cached = self._edge_repr.get(edge)
-        if cached is None:
-            cached = self._edge_repr[edge] = repr(edge)
         return cached
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

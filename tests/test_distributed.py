@@ -1,12 +1,25 @@
 """Tests for the distributed deterministic algorithm (Theorem 4.17)."""
 
+import json
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from repro.congest import CongestRun
 from repro.core import distributed_moat_growing, moat_growing
+from repro.core.distributed import merge_grid
 from repro.exact import steiner_forest_cost
+from repro.exceptions import SimulationError
 from repro.model import SteinerForestInstance
+from repro.perf import make_ledger_run
+from repro.simbackend import numpy_tier_available
 from tests.conftest import make_random_instance
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "fixtures" / "distributed_merges_golden.json")
+    .read_text()
+)
 
 
 class TestCorrectness:
@@ -50,6 +63,18 @@ class TestCorrectness:
         inst = make_random_instance(seed)
         dist = distributed_moat_growing(inst)
         assert dist.num_phases <= 2 * inst.num_components
+
+    def test_phase_bound_violation_is_loud(self, monkeypatch):
+        """Lemma 4.4's guard fires past 2k phases and names the count."""
+        case = next(c for c in GOLDEN if c["num_phases"] == 3)
+        inst = make_random_instance(
+            case["seed"], n_range=(8, 24), k_range=(2, 5), max_weight=50
+        )
+        monkeypatch.setattr(
+            SteinerForestInstance, "num_components", property(lambda self: 1)
+        )
+        with pytest.raises(SimulationError, match=r"phase 3 > 2k = 2"):
+            distributed_moat_growing(inst)
 
     def test_trivial_instance_no_phases(self, grid33):
         inst = SteinerForestInstance(grid33, {0: "x"})
@@ -102,3 +127,54 @@ class TestRoundComplexity:
         inst = make_random_instance(2)
         dist = distributed_moat_growing(inst)
         assert dist.run.messages > 0
+
+
+class TestIntegerMergeGrid:
+    def test_grid_from_denominators_present(self):
+        values = [Fraction(1, 3), Fraction(5, 8), Fraction(7), Fraction(1, 2)]
+        assert merge_grid(values) == 48
+        assert merge_grid([]) == 2
+        assert merge_grid([Fraction(4)]) == 2
+
+    def test_grid_keys_order_like_mu(self):
+        values = [Fraction(1, 3), Fraction(5, 8), Fraction(-2, 3), Fraction(3, 8)]
+        grid = merge_grid(values)
+        halves = sorted(
+            {(a + b + w) / 2 for a in values for b in values for w in (1, 2)}
+        )
+        scaled = [mu * grid for mu in halves]
+        assert all(value.denominator == 1 for value in scaled)
+        assert scaled == sorted(scaled)
+
+    @pytest.mark.parametrize(
+        "ledger",
+        [
+            "reference",
+            "flatarray",
+            pytest.param("numpy", marks=pytest.mark.skipif(
+                not numpy_tier_available(),
+                reason="optional numpy extra not installed",
+            )),
+        ],
+    )
+    def test_golden_merge_sequences(self, ledger):
+        """Merge sequences recorded from the Fraction-keyed implementation
+        (multi-phase instances, half-integer µ) are reproduced exactly."""
+        for case in GOLDEN:
+            inst = make_random_instance(
+                case["seed"], n_range=(8, 24), k_range=(2, 5), max_weight=50
+            )
+            dist = distributed_moat_growing(
+                inst, run=make_ledger_run(ledger, inst.graph)
+            )
+            merges = [
+                [m.phase, str(m.mu), m.terminal_a, m.terminal_b,
+                 list(m.edge), m.path]
+                for m in dist.merges
+            ]
+            assert merges == case["merges"], case["seed"]
+            assert dist.num_phases == case["num_phases"]
+            assert (dist.rounds, dist.run.messages) == (
+                case["rounds"], case["messages"]
+            )
+            assert dist.solution.weight == case["weight"]
