@@ -91,17 +91,16 @@ def bellman_ford(
 
     Returns a :class:`BellmanFordResult`.
 
-    A :class:`~repro.perf.FastCongestRun` engages the compiled fast
-    branch (cached neighbor tuples, memoized ``repr`` keys, batched
-    ledger charging); a :class:`~repro.perf.npkernels.NumpyCongestRun`
-    additionally runs the relaxation itself as scaled-int64 array
-    kernels when the workload scales exactly, falling back to the
-    compiled branch otherwise. Distances, tags, parents, iterations,
-    and the ledger end state are identical on every branch
-    (tests/test_perf.py, tests/test_npkernels.py).
+    Every ledger runs this one path on ``graph``'s cached topology, with
+    each tag's ``repr`` computed once per source. On its own graph, a
+    :class:`~repro.perf.npkernels.NumpyCongestRun` runs the relaxation
+    as scaled-int64 array kernels instead when the workload scales
+    exactly. Distances, tags, parents, iterations, and the ledger end
+    state are identical either way (tests/test_ledger_golden.py,
+    tests/test_npkernels.py).
     """
     blocked = blocked or frozenset()
-    if getattr(run, "npc", None) is not None:
+    if graph is run.graph and getattr(run, "npc", None) is not None:
         from repro.perf.npkernels import bellman_ford_numpy
 
         result = bellman_ford_numpy(
@@ -115,74 +114,50 @@ def bellman_ford(
     dist: Dict[Node, Number] = {}
     tag: Dict[Node, Tag] = {}
     parent: Dict[Node, Optional[Node]] = {}
+    tag_repr: Dict[Node, str] = {}  # repr(tag[v]), carried along with tag[v]
     for v, (d0, source_tag) in sources.items():
         dist[v] = Fraction(d0)
         tag[v] = source_tag
         parent[v] = None
+        tag_repr[v] = repr(source_tag)
 
     # Sources never change their (distance, tag, parent): the paper's
     # decompositions extend existing trees without touching them
     # (Lemma 4.8: "the old trees are not touched, but simply extended").
     immutable = frozenset(sources)
 
-    compiled = getattr(run, "compiled", None)
+    reprs = graph.repr_of
     changed: Set[Node] = set(sources)
     iterations = 0
     while changed:
         if max_iterations is not None and iterations >= max_iterations:
             return BellmanFordResult(dist, tag, parent, iterations, False)
         iterations += 1
+        announcers = sorted(changed, key=reprs.__getitem__)
         updates: Dict[Node, Tuple[Number, str, str, Tag, Node]] = {}
-        if compiled is not None:
-            reprs = compiled.repr_of
-            tag_repr = compiled.tag_repr
-            neighbors = compiled.neighbors
-            announcers = sorted(changed, key=reprs.__getitem__)
-            for u in announcers:
-                du = dist[u]
-                tu = tag[u]
-                tu_repr = tag_repr(tu)
-                u_repr = reprs[u]
-                for v in neighbors[u]:
-                    if v in blocked or v in immutable:
-                        continue
-                    cand_dist = du + edge_weight(u, v)
-                    current = updates.get(v)
-                    if current is None or (cand_dist, tu_repr, u_repr) < current[:3]:
-                        updates[v] = (cand_dist, tu_repr, u_repr, tu, u)
-            run.tick()
-            out_counter = compiled.out_counter
-            degree = compiled.degree
-            for u in announcers:
-                run.charge_counter(out_counter[u], degree[u])
-        else:
-            traffic: Dict[Tuple[Node, Node], int] = {}
-            for u in sorted(changed, key=repr):
-                for v in graph.neighbors(u):
-                    traffic[(u, v)] = 1
-                    if v in blocked or v in immutable:
-                        continue
-                    w = edge_weight(u, v)
-                    cand_dist = dist[u] + w
-                    cand_key = (cand_dist, repr(tag[u]), repr(u), tag[u], u)
-                    current = updates.get(v)
-                    if current is None or cand_key[:3] < current[:3]:
-                        updates[v] = cand_key
-            run.tick(traffic)
+        for u in announcers:
+            du, tu, tu_repr, u_repr = dist[u], tag[u], tag_repr[u], reprs[u]
+            for v in graph.neighbors(u):
+                if v in blocked or v in immutable:
+                    continue
+                cand_dist = du + edge_weight(u, v)
+                current = updates.get(v)
+                if current is None or (cand_dist, tu_repr, u_repr) < current[:3]:
+                    updates[v] = (cand_dist, tu_repr, u_repr, tu, u)
+        run.tick_neighbors(graph, announcers)
         changed = set()
-        cur_tag_repr = compiled.tag_repr if compiled is not None else repr
-        for v, (cand_dist, new_tag_repr, _, new_tag, new_parent) in (
+        for v, (cand_dist, cand_tag_repr, _, new_tag, new_parent) in (
             updates.items()
         ):
             if v in dist:
                 # Strictly smaller (dist, tag) only — comparing the parent
                 # as well would let equal-distance updates flip parents
                 # forever across zero-weight (fully covered) edges.
-                cur_key = (dist[v], cur_tag_repr(tag[v]))
-                if (cand_dist, new_tag_repr) >= cur_key:
+                if (cand_dist, cand_tag_repr) >= (dist[v], tag_repr[v]):
                     continue
             dist[v] = cand_dist
             tag[v] = new_tag
+            tag_repr[v] = cand_tag_repr
             parent[v] = new_parent
             changed.add(v)
     return BellmanFordResult(dist, tag, parent, iterations, True)

@@ -11,7 +11,7 @@ the tree the first round it hears an announcement, picking the smallest-
 identifier announcer as its parent. It completes in D + O(1) rounds.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.congest.run import CongestRun
 from repro.model.graph import Node, WeightedGraph
@@ -77,61 +77,36 @@ def build_bfs_tree(
     smallest-identifier sender as its parent. Two extra quiet rounds model
     local termination detection at the frontier.
 
-    A :class:`~repro.perf.FastCongestRun` engages the compiled fast
-    branch (cached neighbor tuples and ``repr`` keys, batched ledger
-    charging); a :class:`~repro.perf.npkernels.NumpyCongestRun` runs the
-    whole flood as array kernels (integer ranks reproduce the ``repr``
-    tie-breaking). The execution — parents, depths, rounds, per-edge
-    traffic — is identical either way (pinned in tests/test_perf.py and
+    Every ledger runs this one path on ``graph``'s cached topology (the
+    neighbor tuples and node reprs of
+    :class:`~repro.model.graph.WeightedGraph`). On its own graph, a
+    :class:`~repro.perf.npkernels.NumpyCongestRun` runs the whole flood
+    as array kernels instead (integer ranks reproduce the ``repr``
+    tie-breaking); the execution — parents, depths, rounds, per-edge
+    traffic — is identical (tests/test_ledger_golden.py,
     tests/test_npkernels.py).
     """
     if root is None:
         root = default_root(graph)
-    if getattr(run, "npc", None) is not None:
+    if graph is run.graph and getattr(run, "npc", None) is not None:
         from repro.perf.npkernels import build_bfs_tree_numpy
 
         return build_bfs_tree_numpy(run, root)
+    reprs = graph.repr_of
     parent: Dict[Node, Optional[Node]] = {root: None}
     depth_of: Dict[Node, int] = {root: 0}
     frontier: List[Node] = [root]
     depth = 0
-    compiled = getattr(run, "compiled", None)
-    if compiled is not None:
-        reprs = compiled.repr_of
-        neighbors = compiled.neighbors
-        out_counter = compiled.out_counter
-        degree = compiled.degree
-        while frontier:
-            depth += 1
-            proposals: Dict[Node, List[Node]] = {}
-            for u in frontier:
-                for v in neighbors[u]:
-                    if v not in parent:
-                        proposals.setdefault(v, []).append(u)
-            run.tick()
-            for u in frontier:
-                run.charge_counter(out_counter[u], degree[u])
-            frontier = []
-            for v, candidates in sorted(
-                proposals.items(), key=lambda kv: reprs[kv[0]]
-            ):
-                parent[v] = min(candidates, key=reprs.__getitem__)
-                depth_of[v] = depth
-                frontier.append(v)
-        return BFSTree(root, parent, depth_of)
     while frontier:
         depth += 1
-        traffic: Dict[Tuple[Node, Node], int] = {}
-        proposals = {}
+        proposals: Dict[Node, List[Node]] = {}
         for u in frontier:
             for v in graph.neighbors(u):
-                traffic[(u, v)] = 1
                 if v not in parent:
                     proposals.setdefault(v, []).append(u)
-        run.tick(traffic)
-        frontier = []
-        for v, candidates in sorted(proposals.items(), key=lambda kv: repr(kv[0])):
-            parent[v] = min(candidates, key=repr)
+        run.tick_neighbors(graph, frontier)
+        frontier = sorted(proposals, key=reprs.__getitem__)
+        for v in frontier:
+            parent[v] = min(proposals[v], key=reprs.__getitem__)
             depth_of[v] = depth
-            frontier.append(v)
     return BFSTree(root, parent, depth_of)

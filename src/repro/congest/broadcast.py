@@ -39,8 +39,6 @@ def broadcast_items(
         from repro.perf.npkernels import broadcast_items_numpy
 
         return broadcast_items_numpy(tree, items, run)
-    compiled = getattr(run, "compiled", None)
-    canon = compiled.canon if compiled is not None else None
     top_down = tree.nodes_top_down()
     queue: Dict[Node, deque] = {v: deque() for v in tree.parent}
     queue[tree.root].extend(items)
@@ -57,11 +55,7 @@ def broadcast_items(
                 queue[v].popleft()  # leaf consumes the item locally
         if not traffic and not any(queue[v] for v in queue):
             break
-        if canon is not None:
-            run.tick()
-            run.charge_messages(canon[pair] for pair in traffic)
-        else:
-            run.tick(traffic)
+        run.tick(traffic)
         for child, item in deliveries:
             queue[child].append(item)
     return items
@@ -130,70 +124,13 @@ def upcast_items(
 
     Returns the distinct items known to the root, in sorted order.
 
-    A :class:`~repro.perf.FastCongestRun` engages the compiled fast
-    branch: buffers are kept sorted incrementally (``insort`` on
-    arrival, with ``repr`` computed once per item) instead of re-sorted
-    every round, and ledger charges use precompiled canonical edges.
-    The forwarded items, their order, and the ledger end state are
-    identical either way (tests/test_perf.py).
+    Buffers are kept sorted incrementally: entries are ``(repr(item),
+    sequence, item)`` triples placed by ``insort``, ``repr`` computed
+    once per item, and the global arrival sequence breaks ``repr`` ties
+    the way a stable per-round ``sorted(buffer, key=repr)`` would.
     """
     if key is None:
         key = lambda item: item  # noqa: E731 - identity key
-    if getattr(run, "compiled", None) is not None:
-        return _upcast_items_fast(tree, local_items, run, key)
-    buffers: Dict[Node, List[Item]] = {v: [] for v in tree.parent}
-    seen: Dict[Node, Set[Hashable]] = {v: set() for v in tree.parent}
-    forwarded: Dict[Node, Set[Hashable]] = {v: set() for v in tree.parent}
-    for v, items in local_items.items():
-        for item in items:
-            k = key(item)
-            if k not in seen[v]:
-                seen[v].add(k)
-                buffers[v].append(item)
-    while True:
-        traffic: Dict[Tuple[Node, Node], int] = {}
-        arrivals: List[Tuple[Node, Item]] = []
-        for v in tree.parent:
-            if v == tree.root:
-                continue
-            candidate = None
-            for item in sorted(buffers[v], key=repr):
-                if key(item) not in forwarded[v]:
-                    candidate = item
-                    break
-            if candidate is None:
-                continue
-            parent = tree.parent[v]
-            assert parent is not None
-            forwarded[v].add(key(candidate))
-            traffic[(v, parent)] = 1
-            arrivals.append((parent, candidate))
-        if not traffic:
-            break
-        run.tick(traffic)
-        for parent, item in arrivals:
-            k = key(item)
-            if k not in seen[parent]:
-                seen[parent].add(k)
-                buffers[parent].append(item)
-    return sorted(buffers[tree.root], key=repr)
-
-
-def _upcast_items_fast(
-    tree: BFSTree,
-    local_items: Dict[Node, Iterable[Item]],
-    run: CongestRun,
-    key: Callable[[Item], Hashable],
-) -> List[Item]:
-    """The compiled-ledger branch of :func:`upcast_items`.
-
-    Buffer entries are ``(repr(item), sequence, item)`` triples kept
-    sorted by ``insort``: the sequence number (global insertion order)
-    breaks ``repr`` ties exactly like the reference path's *stable*
-    per-round ``sorted(..., key=repr)``, so the candidate scan visits
-    items in the identical order without re-sorting.
-    """
-    canon = run.compiled.canon  # type: ignore[attr-defined]
     buffers: Dict[Node, List[Tuple[str, int, Item]]] = {
         v: [] for v in tree.parent
     }
@@ -208,29 +145,24 @@ def _upcast_items_fast(
                 insort(buffers[v], (repr(item), sequence, item))
                 sequence += 1
     while True:
-        charges: List = []
+        traffic: Dict[Tuple[Node, Node], int] = {}
         arrivals: List[Tuple[Node, str, Item]] = []
         for v in tree.parent:
             if v == tree.root:
                 continue
-            candidate = None
-            candidate_repr = ""
             for item_repr, _, item in buffers[v]:
                 if key(item) not in forwarded[v]:
-                    candidate = item
-                    candidate_repr = item_repr
                     break
-            if candidate is None:
+            else:
                 continue
             parent = tree.parent[v]
             assert parent is not None
-            forwarded[v].add(key(candidate))
-            charges.append(canon[(v, parent)])
-            arrivals.append((parent, candidate_repr, candidate))
-        if not charges:
+            forwarded[v].add(key(item))
+            traffic[(v, parent)] = 1
+            arrivals.append((parent, item_repr, item))
+        if not traffic:
             break
-        run.tick()
-        run.charge_messages(charges)
+        run.tick(traffic)
         for parent, item_repr, item in arrivals:
             k = key(item)
             if k not in seen[parent]:

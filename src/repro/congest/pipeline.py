@@ -92,8 +92,7 @@ def pipelined_filtered_upcast(
     of an edge may carry the same key) and its surviving ranks in
     ascending order, and the Kruskal filter runs over integer component
     ids and stops once every component is joined. All ledgers take this
-    one path; only the traffic charge differs (precompiled canonical
-    edges on a :class:`~repro.perf.FastCongestRun`).
+    one path.
     """
     profiler = getattr(run, "profiler", None)
     with maybe_span(profiler, "pipelined-upcast"):
@@ -180,7 +179,6 @@ def _pipelined_filtered_upcast(
         checked = finalized
         return None
 
-    compiled = getattr(run, "compiled", None)
     rounds_in_primitive = 0
     while True:
         # Root-side early stop on the finalized prefix.
@@ -227,12 +225,7 @@ def _pipelined_filtered_upcast(
             return [pooled[root_seen[r]] for r in final]
 
         rounds_in_primitive += 1
-        if compiled is not None:
-            run.tick()
-            canon = compiled.canon
-            run.charge_messages([canon[(v, p)] for v, p, _, _ in arrivals])
-        else:
-            run.tick({(v, p): 1 for v, p, _, _ in arrivals})
+        run.tick({(v, p): 1 for v, p, _, _ in arrivals})
         fresh: Dict[Node, List[int]] = {}
         for _, parent, r, index in arrivals:
             first = seen[parent]

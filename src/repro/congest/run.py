@@ -19,25 +19,6 @@ from repro.model.graph import Edge, Node, WeightedGraph, canonical_edge
 DirectedTraffic = Mapping[Tuple[Node, Node], int]
 
 
-def non_edge_violation(sender: Node, receiver: Node) -> CongestViolationError:
-    """The canonical non-edge traffic error (shared with the fast
-    ledger in :mod:`repro.perf.fastpath` so the wording cannot drift)."""
-    return CongestViolationError(
-        f"message over non-edge ({sender!r}, {receiver!r})"
-    )
-
-
-def per_direction_violation(
-    count: int, sender: Node, receiver: Node
-) -> CongestViolationError:
-    """The canonical CONGEST per-direction bound error (shared with the
-    fast ledger)."""
-    return CongestViolationError(
-        f"{count} messages from {sender!r} to {receiver!r} "
-        "in one round (CONGEST allows 1)"
-    )
-
-
 class CongestRun:
     """Accumulates rounds, messages and per-edge traffic for one execution.
 
@@ -96,9 +77,8 @@ class CongestRun:
     # ------------------------------------------------------------------
 
     def _advance_round(self) -> None:
-        """Shared round preamble: count the round, attribute it (phase +
-        profiler), enforce ``max_rounds``. Used by both this ledger and
-        the compiled fast ledger so the bookkeeping cannot diverge."""
+        """Count the round, attribute it (phase + profiler), and enforce
+        ``max_rounds``."""
         self.rounds += 1
         self._attribute(1)
         if self.rounds > self.max_rounds:
@@ -112,23 +92,56 @@ class CongestRun:
 
         ``traffic`` maps directed node pairs (sender, receiver) to message
         counts; each count must be ≤ 1 per the CONGEST model, and the pair
-        must be an edge of the graph.
+        must be an edge of the graph (one lookup in the graph's cached
+        :meth:`~repro.model.graph.WeightedGraph.canonical_pairs`).
         """
         self._advance_round()
         if traffic:
+            canon = self.graph.canonical_pairs()
+            edge_messages = self.edge_messages
             charged = 0
-            for (sender, receiver), count in traffic.items():
+            for pair, count in traffic.items():
                 if count == 0:
                     continue
-                if not self.graph.has_edge(sender, receiver):
-                    raise non_edge_violation(sender, receiver)
+                edge = canon.get(pair)
+                if edge is None:
+                    raise CongestViolationError(
+                        "message over non-edge ({!r}, {!r})".format(*pair)
+                    )
                 if count > 1:
-                    raise per_direction_violation(count, sender, receiver)
-                self.messages += count
-                self.edge_messages[canonical_edge(sender, receiver)] += count
-                charged += count
+                    raise CongestViolationError(
+                        "{} messages from {!r} to {!r} in one round "
+                        "(CONGEST allows 1)".format(count, *pair)
+                    )
+                edge_messages[edge] += 1
+                charged += 1
+            self.messages += charged
             if self.profiler is not None and charged:
                 self.profiler.add_messages(charged)
+
+    def tick_neighbors(
+        self, graph: WeightedGraph, senders: Optional[Iterable[Node]] = None
+    ) -> None:
+        """Advance one round in which every node of ``senders`` (default:
+        all of ``graph``'s nodes) sends one message to each of its
+        neighbors in ``graph``.
+
+        One message per edge direction holds by construction. On the
+        ledger's own graph the charge skips validation and applies each
+        sender's cached canonical out-edges in bulk; a primitive running
+        on another graph (a subgraph, such as the F-subgraph of
+        Lemma G.12) has every pair validated against the ledger's graph,
+        exactly as :meth:`tick` would.
+        """
+        if senders is None:
+            senders = graph.nodes
+        if graph is not self.graph:
+            self.tick({(u, v): 1 for u in senders for v in graph.neighbors(u)})
+            return
+        self._advance_round()
+        out_edges = graph.out_edges
+        edges = [edge for u in senders for edge in out_edges(u)]
+        self.charge_messages(edges)
 
     def charge_messages(self, canonical_edges: Iterable[Edge]) -> None:
         """Batch-charge pre-validated traffic for the current round.
@@ -141,28 +154,9 @@ class CongestRun:
         charging rules (message count + per-edge counters) owned by the
         ledger, with the same end state as ``tick(traffic)``.
         """
-        count = 0
-        for edge in canonical_edges:
-            self.edge_messages[edge] += 1
-            count += 1
-        self.messages += count
-        if self.profiler is not None and count:
-            self.profiler.add_messages(count)
-
-    def charge_counter(self, counter: Mapping[Edge, int], count: int) -> None:
-        """Batch-charge a precompiled canonical-edge multiset for the
-        current round.
-
-        ``counter`` maps canonical graph edges to per-edge message
-        counts summing to ``count``; like :meth:`charge_messages` the
-        caller (the :mod:`repro.perf.fastpath` compiled topology)
-        guarantees the CONGEST per-direction bound structurally, so the
-        ledger applies the whole delta in one C-speed ``Counter.update``
-        instead of one Python-level check per message. End state is
-        identical to ``tick(traffic)`` with the equivalent directed
-        traffic.
-        """
-        self.edge_messages.update(counter)
+        edges = list(canonical_edges)
+        self.edge_messages.update(edges)
+        count = len(edges)
         self.messages += count
         if self.profiler is not None and count:
             self.profiler.add_messages(count)

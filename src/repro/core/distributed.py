@@ -225,14 +225,11 @@ def distributed_moat_growing(
     graph = instance.graph
     if run is None:
         run = CongestRun(graph)
-    # The compiled-ledger fast path (repro.perf.fastpath): identical
-    # execution, precompiled charging and memoized per-phase geometry.
-    compiled = getattr(run, "compiled", None)
     profiler = getattr(run, "profiler", None)
-    # The vectorized numpy tier (repro.perf.npkernels): same contract —
-    # the kernels are byte-identical or they decline and the python
-    # branches below run unchanged.
-    npc = getattr(run, "npc", None)
+    # The vectorized numpy tier (repro.perf.npkernels), on the ledger's
+    # own graph only: the kernels are byte-identical or they decline and
+    # the python loops below run unchanged.
+    npc = getattr(run, "npc", None) if run.graph is graph else None
 
     # ------------------------------------------------------------------
     # Step 1: BFS tree; make (v, λ(v)) global knowledge. O(D + t) rounds.
@@ -346,13 +343,7 @@ def distributed_moat_growing(
         # construction for cross-tree edges, keyed on the phase's integer
         # grid: µ·grid orders exactly like µ.
         # --------------------------------------------------------------
-        if compiled is not None:
-            run.tick()
-            run.charge_counter(compiled.full_counter, compiled.num_directed)
-        else:
-            run.tick({
-                (x, y): 1 for x in graph.nodes for y in graph.neighbors(x)
-            })
+        run.tick_neighbors(graph)
         grid = merge_grid(chain(tree_dist.values(), leftover.values()))
 
         def scaled(value: Union[int, Fraction]) -> int:

@@ -119,9 +119,6 @@ def sublinear_moat_growing(
     graph = instance.graph
     if run is None:
         run = CongestRun(graph)
-    # The compiled-ledger fast path (repro.perf.fastpath): identical
-    # execution with precompiled charging for the broadcast steps.
-    compiled = getattr(run, "compiled", None)
     profiler = getattr(run, "profiler", None)
     n = graph.num_nodes
     t = max(1, instance.num_terminals)
@@ -170,13 +167,7 @@ def sublinear_moat_growing(
                 )
             # One round of owner exchange plus the min-candidate
             # convergecast of Step 3aiv over the BFS tree.
-            if compiled is not None:
-                run.tick()
-                run.charge_counter(compiled.full_counter, compiled.num_directed)
-            else:
-                run.tick({
-                    (x, y): 1 for x in graph.nodes for y in graph.neighbors(x)
-                })
+            run.tick_neighbors(graph)
             run.charge_rounds(
                 2 * tree.depth, "min-candidate convergecast (Step 3aiv)"
             )

@@ -48,12 +48,13 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
     """Run one job (worker entry point); returns its JSON-able record.
 
     The job's ``backend`` selects the *ledger engine* for run-accepting
-    solvers (:func:`repro.perf.make_ledger_run`): ``flatarray`` (or a
-    large-instance ``auto``) hands the solver a compiled
-    :class:`~repro.perf.FastCongestRun`, which changes wall time but —
-    by the fast path's conformance pin — nothing observable: weights,
-    rounds, messages, per-edge traffic, and cache-relevant outputs are
-    byte-identical to ``reference``. For message-level executions
+    solvers (:func:`repro.perf.make_ledger_run`): ``numpy`` (or a
+    large-instance ``auto``) hands the solver a
+    :class:`~repro.perf.npkernels.NumpyCongestRun`, whose array kernels
+    change wall time but — by the tiers' conformance pin — nothing
+    observable: weights, rounds, messages, per-edge traffic, and
+    cache-relevant outputs are byte-identical to ``reference``
+    (``flatarray`` runs the same Python path as ``reference``). For message-level executions
     (node-program scenarios, conformance suites, benchmarks) the axis
     selects the simulator engine as before. Like the network axis, a
     non-default backend hashes to its own cache key.

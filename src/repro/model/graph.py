@@ -30,7 +30,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -98,8 +97,9 @@ class WeightedGraph:
     Nodes may be arbitrary hashable, mutually comparable values; the test
     suite and generators use integers, matching the paper's O(log n)-bit
     identifiers. The structure is immutable after construction, which lets
-    expensive metrics (``D``, ``WD``, ``s``) and each source's shortest-path
-    tree be cached.
+    expensive metrics (``D``, ``WD``, ``s``), each source's shortest-path
+    tree, and the topology the CONGEST primitives and ledgers walk (node
+    reprs, sorted neighbor tuples, canonical edges) be cached.
     """
 
     def __init__(
@@ -122,11 +122,16 @@ class WeightedGraph:
                 )
             self._adj[u][v] = w
             self._adj[v][u] = w
+        self._repr = {v: repr(v) for v in self._adj}
         self._nodes: Tuple[Node, ...] = tuple(
-            sorted(self._adj, key=repr)
+            sorted(self._adj, key=self._repr.__getitem__)
         )
         self._rank = {v: r for r, v in enumerate(self._nodes)}
         self._rank_adj: Optional[List[List[Tuple[int, int]]]] = None
+        self._neighbors: Dict[Node, Tuple[Node, ...]] = {}
+        self._edges: Optional[Tuple[WeightedEdge, ...]] = None
+        self._canon: Optional[Dict[Tuple[Node, Node], Edge]] = None
+        self._out_edges: Dict[Node, Tuple[Edge, ...]] = {}
         self._sssp_cache: Dict[Node, Tuple[Dict[Node, int], array, array]] = {}
         self._metric_cache: Dict[str, int] = {}
         if validate:
@@ -179,21 +184,28 @@ class WeightedGraph:
     def num_edges(self) -> int:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
+    @property
+    def repr_of(self) -> Mapping[Node, str]:
+        """node → ``repr(node)``, the key of every deterministic tie-break
+        (computed once; do not mutate)."""
+        return self._repr
+
     def edges(self) -> List[WeightedEdge]:
         """All edges as (u, v, weight) with canonical endpoint order."""
-        seen: Set[Edge] = set()
-        result: List[WeightedEdge] = []
-        for u in self._nodes:
-            for v, w in self._adj[u].items():
-                edge = canonical_edge(u, v)
-                if edge not in seen:
-                    seen.add(edge)
-                    result.append((edge[0], edge[1], w))
-        return result
+        if self._edges is None:
+            reprs = self._repr
+            result: List[WeightedEdge] = []
+            for u in self._nodes:
+                ru = reprs[u]
+                for v, w in self._adj[u].items():
+                    if ru <= reprs[v]:  # u is the canonical first endpoint
+                        result.append((u, v, w))
+            self._edges = tuple(result)
+        return list(self._edges)
 
     def edge_set(self) -> FrozenSet[Edge]:
         """All edges as a frozen set of canonical pairs."""
-        return frozenset(canonical_edge(u, v) for u, v, _ in self.edges())
+        return frozenset((u, v) for u, v, _ in self.edges())
 
     def has_node(self, v: Node) -> bool:
         return v in self._adj
@@ -202,8 +214,36 @@ class WeightedGraph:
         return u in self._adj and v in self._adj[u]
 
     def neighbors(self, v: Node) -> Tuple[Node, ...]:
-        """Neighbors of ``v`` in deterministic order."""
-        return tuple(sorted(self._adj[v], key=repr))
+        """Neighbors of ``v`` in deterministic (repr) order, cached."""
+        cached = self._neighbors.get(v)
+        if cached is None:
+            cached = self._neighbors[v] = tuple(
+                sorted(self._adj[v], key=self._repr.__getitem__)
+            )
+        return cached
+
+    def canonical_pairs(self) -> Mapping[Tuple[Node, Node], Edge]:
+        """Directed pair ``(u, v)`` → canonical edge, for both directions
+        of every edge; non-edges are absent (built once)."""
+        if self._canon is None:
+            canon: Dict[Tuple[Node, Node], Edge] = {}
+            for u, v, _ in self.edges():
+                edge = (u, v)
+                canon[edge] = edge
+                canon.setdefault((v, u), edge)
+            self._canon = canon
+        return self._canon
+
+    def out_edges(self, v: Node) -> Tuple[Edge, ...]:
+        """The canonical edges from ``v`` to each of its neighbors, in
+        :meth:`neighbors` order (cached)."""
+        cached = self._out_edges.get(v)
+        if cached is None:
+            canon = self.canonical_pairs()
+            cached = self._out_edges[v] = tuple(
+                canon[(v, u)] for u in self.neighbors(v)
+            )
+        return cached
 
     def adjacency(self, v: Node) -> Mapping[Node, int]:
         """The neighbor → weight mapping of ``v``, unsorted.
@@ -452,7 +492,7 @@ class WeightedGraph:
                 covered += min(Fraction(w), radius - dist[v])
             covered = min(covered, Fraction(w))
             if covered > 0:
-                edge_fractions[canonical_edge(u, v)] = covered / w
+                edge_fractions[(u, v)] = covered / w
         return Ball(center, radius, nodes, edge_fractions)
 
     # ------------------------------------------------------------------

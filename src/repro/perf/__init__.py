@@ -1,4 +1,4 @@
-"""Performance subsystem: profiling and the pipeline fast path.
+"""Performance subsystem: profiling, ledger selection and the numpy tier.
 
 The ROADMAP's north star is a system that "runs as fast as the hardware
 allows"; this package is where the repo measures and then removes the
@@ -8,30 +8,30 @@ cost of the paper's Steiner-forest pipeline:
   rounds / messages / bytes / wall-time instrumentation attached to a
   :class:`~repro.congest.run.CongestRun` (zero effect when detached —
   results, round counts, and cache keys are pinned byte-identical).
-* :mod:`repro.perf.fastpath` — :class:`CompiledTopology` and
-  :class:`FastCongestRun`, the flat-array ledger engine: the
-  communication primitives detect the compiled topology and take
-  conformance-pinned fast branches (cached neighbor tuples and ``repr``
-  keys, batched Counter charging, incremental sorted buffers).
-  :func:`make_ledger_run` threads the experiment engine's ``--backend``
-  axis (including ``auto``) into the ledger-level solvers.
+* :mod:`repro.perf.fastpath` — :func:`make_ledger_run`, which threads
+  the experiment engine's ``--backend`` axis (including ``auto``) into
+  the ledger-level solvers, and :class:`FastCongestRun`, the type the
+  ``flatarray`` tier builds. Every primitive has one Python path over
+  the topology :class:`~repro.model.graph.WeightedGraph` caches, so the
+  ``reference`` and ``flatarray`` tiers run the same code.
 * :mod:`repro.perf.npkernels` — the optional vectorized ``numpy`` tier:
-  :class:`NumpyCongestRun` (a :class:`FastCongestRun` subclass carrying
-  a CSR :class:`NumpyTopology`) plus exact integer-dtype kernels for the
+  :class:`NumpyCongestRun` (array-charged, carrying a CSR
+  :class:`NumpyTopology`) plus exact integer-dtype kernels for the
   regular primitives (BFS, Bellman–Ford, broadcast, convergecast, moat
-  radius growth). Imported lazily/conditionally — with numpy absent the
-  package still imports and the two-tier stack is unaffected.
+  radius growth) on the ledger's own graph. Imported
+  lazily/conditionally — with numpy absent the package still imports
+  and the Python path is unaffected.
 * :mod:`repro.perf.report` — the flame-style text report behind the
   ``repro profile`` subcommand.
 
-The measured speedups live in ``BENCH_profile.json``
-(``benchmarks/bench_e18_profile.py``): the flatarray ledger is ≥ 2× the
-reference ledger on the full distributed pipeline at n ≥ 256, and
-``backend="auto"`` picks the winner per instance size while staying
-byte-identical to reference everywhere.
+The measured numbers live in ``BENCH_profile.json``
+(``benchmarks/bench_e18_profile.py``: every tier byte-identical on the
+full distributed pipeline) and ``BENCH_numpy.json``
+(``benchmarks/bench_e22_numpy.py``: the numpy kernels against the
+Python path on the regular primitives).
 """
 
-from repro.perf.fastpath import CompiledTopology, FastCongestRun, make_ledger_run
+from repro.perf.fastpath import FastCongestRun, make_ledger_run
 from repro.perf.profiler import PhaseProfiler, PhaseStats, maybe_span
 from repro.perf.report import render_profile_report
 
@@ -42,7 +42,6 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     NumpyTopology = None  # type: ignore[assignment,misc]
 
 __all__ = [
-    "CompiledTopology",
     "FastCongestRun",
     "NumpyCongestRun",
     "NumpyTopology",

@@ -1,9 +1,8 @@
-"""Vectorized numpy kernels: the third ledger tier.
+"""Vectorized numpy kernels: the numpy ledger tier.
 
-The flatarray ledger (:mod:`repro.perf.fastpath`) removed per-message
-validation and ``repr`` churn but still walks every directed edge in
-Python on every round. The paper's *regular* primitives — BFS flooding,
-multi-source Bellman–Ford, pipelined broadcast, convergecast
+The communication primitives' one Python path walks every directed edge
+in Python on every round. The paper's *regular* primitives — BFS
+flooding, multi-source Bellman–Ford, pipelined broadcast, convergecast
 aggregation, and the end-of-phase moat radius growth — are
 round-synchronous array updates, so each round collapses to a handful of
 numpy operations over a CSR topology:
@@ -13,11 +12,12 @@ numpy operations over a CSR topology:
   tie-breaking), the adjacency becomes ``indptr``/``indices`` arrays,
   and every CSR position maps to a canonical-edge id for ledger
   charging.
-* :class:`NumpyCongestRun` — a :class:`~repro.perf.fastpath.
-  FastCongestRun` whose per-edge traffic accumulates in an int64 array
-  (materialized to the usual Counter on first read). Because it *is* a
-  FastCongestRun, any primitive without a numpy branch falls back to the
-  conformance-pinned flatarray branch automatically.
+* :class:`NumpyCongestRun` — a :class:`~repro.congest.run.CongestRun`
+  whose per-edge traffic accumulates in an int64 array (materialized to
+  the usual Counter on first read). Primitives without a numpy kernel,
+  and kernels that decline (a workload that does not scale to int64
+  exactly, or a primitive running on a graph other than the ledger's),
+  take the Python path, which charges this ledger like any other.
 * the kernels — frontier expansion by segment gather, per-target
   lexicographic minima by ``lexsort`` + first-occurrence masks, masked
   radius growth — each produce the byte-identical execution of their
@@ -48,9 +48,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.congest.run import CongestRun
 from repro.model.graph import Edge, Node, WeightedGraph
-from repro.perf.fastpath import CompiledTopology, FastCongestRun
+from repro.perf.fastpath import FastCongestRun
 
 #: Hard ceiling for every scaled int64 quantity. 2^62 leaves one bit of
 #: headroom under ``np.int64`` so a single addition of two in-bound
@@ -61,6 +60,9 @@ INT64_LIMIT = 2 ** 62
 #: distance is strictly below INT64_LIMIT, so comparisons against the
 #: sentinel behave like comparisons against +infinity.
 UNREACHED = np.int64(2 ** 63 - 1)
+
+#: Sentinel for "no candidate" in per-target minima of packed keys.
+NO_KEY = np.iinfo(np.int64).max
 
 
 def assert_int64_bounds(values: np.ndarray, context: str) -> None:
@@ -105,12 +107,6 @@ def scale_fractions(values: List[Fraction]) -> Optional[Tuple[List[int], int]]:
 class NumpyTopology:
     """One-time CSR compilation of a graph in repr-rank space.
 
-    Built straight from the graph — deliberately *not* from a
-    :class:`CompiledTopology`, whose per-node Counters and full canon
-    dict are pure-python costs the vectorized kernels never pay (the
-    flatarray compilation stays lazy on :class:`NumpyCongestRun` for
-    the fallback branches that do need it).
-
     Attributes:
         graph: the compiled :class:`~repro.model.graph.WeightedGraph`.
         repr_of: node → ``repr(node)`` (the key every primitive's
@@ -149,66 +145,48 @@ class NumpyTopology:
 
     def __init__(self, graph: WeightedGraph) -> None:
         self.graph = graph
-        repr_of = {v: repr(v) for v in graph.nodes}
-        self.repr_of = repr_of
-        order = sorted(graph.nodes, key=repr_of.__getitem__)
+        self.repr_of = graph.repr_of
+        order = graph.nodes  # already in repr order
         self.order = order
         rank_of = {v: i for i, v in enumerate(order)}
         self.rank_of = rank_of
         n = len(order)
 
-        # One pass over the raw adjacency in rank space; neighbor
-        # ordering and edge-id assignment happen as array ops below
-        # (python-side sorting and canonical-edge lookups per directed
-        # edge are exactly the compilation cost this tier exists to
-        # avoid).
-        degrees = np.zeros(n, dtype=np.int64)
-        dst_list: List[int] = []
-        weight_list: List[int] = []
-        for i, v in enumerate(order):
-            adj = graph.adjacency(v)
-            degrees[i] = len(adj)
-            for u, w in adj.items():
-                if not isinstance(w, int) or abs(w) >= INT64_LIMIT:
-                    raise OverflowError(
-                        f"edge weight {w!r} on ({v!r}, {u!r}) is not an "
-                        "int64-safe integer; the numpy tier requires "
-                        "integer graph weights below 2^62"
-                    )
-                dst_list.append(rank_of[u])
-                weight_list.append(w)
-        src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        dst = np.asarray(dst_list, dtype=np.int64)
-        w_directed = np.asarray(weight_list, dtype=np.int64)
-        # Sort each node's neighbor slice by rank. Rank order is repr
-        # order, so this reproduces ``graph.neighbors``'s deterministic
-        # ordering without re-sorting strings per node.
-        perm = np.lexsort((dst, src))
-        dst = dst[perm]
-        w_directed = w_directed[perm]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        self.indptr = indptr
-        self.indices = dst
-
-        # Canonical edge ids: both directions of an edge encode to the
-        # same (min rank, max rank) key, so ``unique`` hands every CSR
-        # position its undirected edge id in one shot.
-        encoded = np.minimum(src, dst) * n + np.maximum(src, dst)
-        uniq, first_pos, inverse = np.unique(
-            encoded, return_index=True, return_inverse=True
-        )
-        self.edge_eid = inverse.astype(np.int64, copy=False)
-        self.num_edges = int(uniq.size)
-        self.eid_u = uniq // max(n, 1)
-        self.eid_v = uniq % max(n, 1)
-        self.eid_weight = w_directed[first_pos]
-        canon_edges: List[Edge] = [
-            (order[u], order[v])
-            for u, v in zip(self.eid_u.tolist(), self.eid_v.tolist())
-        ]
+        # One pass over the graph's cached canonical edge list in rank
+        # space; the edge's position is its id, and neighbor ordering
+        # happens as array ops below (python-side sorting per directed
+        # edge is exactly the compilation cost this tier exists to
+        # avoid). A pair of equal-repr neighbors is listed in both
+        # orders; the rank test keeps one.
+        kept = [e for e in graph.edges() if rank_of[e[0]] < rank_of[e[1]]]
+        for u, v, w in kept:
+            if not isinstance(w, int) or abs(w) >= INT64_LIMIT:
+                raise OverflowError(
+                    f"edge weight {w!r} on ({u!r}, {v!r}) is not an "
+                    "int64-safe integer; the numpy tier requires "
+                    "integer graph weights below 2^62"
+                )
+        m = len(kept)
+        self.num_edges = m
+        self.eid_u = np.fromiter((rank_of[u] for u, _, _ in kept), np.int64, m)
+        self.eid_v = np.fromiter((rank_of[v] for _, v, _ in kept), np.int64, m)
+        self.eid_weight = np.fromiter((w for _, _, w in kept), np.int64, m)
+        canon_edges: List[Edge] = [(u, v) for u, v, _ in kept]
         self.canon_edges = canon_edges
-        self.eid_of = {edge: k for k, edge in enumerate(canon_edges)}
+        self.eid_of = dict(zip(canon_edges, range(m)))
+
+        # Both directions of every edge, each carrying its edge id,
+        # sorted by (sender, receiver) rank: rank order is repr order,
+        # so every slice reproduces ``graph.neighbors``'s ordering.
+        src = np.concatenate((self.eid_u, self.eid_v))
+        dst = np.concatenate((self.eid_v, self.eid_u))
+        eids = np.concatenate((np.arange(m, dtype=np.int64),) * 2)
+        perm = np.lexsort((dst, src))
+        self.indices = dst[perm]
+        self.edge_eid = eids[perm]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        self.indptr = indptr
         # repr memo for arbitrary hashable tags (Bellman–Ford regions),
         # keyed by (type, value) — hash-equal values of different types
         # (True vs 1) must not share a cached repr.
@@ -277,12 +255,13 @@ def gather_out_edges(
 
 
 class NumpyCongestRun(FastCongestRun):
-    """The numpy-tier ledger: a FastCongestRun with array charging.
+    """The numpy-tier ledger: a :class:`FastCongestRun` with array
+    charging (a subclass so type-based tier checks see a fast ledger).
 
-    Drop-in compatible with both plainer ledgers: primitives with a
-    numpy branch detect the ``npc`` attribute; everything else sees the
-    inherited ``compiled`` topology and takes the flatarray branch, so
-    no execution path is ever slower *or different* than flatarray.
+    Primitives with a numpy kernel detect the ``npc`` attribute and run
+    the kernel when they run on this ledger's graph; everything else
+    takes the one Python path, which charges through the inherited
+    methods.
 
     Per-edge traffic accumulates in an int64 array indexed by canonical
     edge id and is folded into the inherited ``edge_messages`` Counter
@@ -295,31 +274,16 @@ class NumpyCongestRun(FastCongestRun):
         graph: WeightedGraph,
         bandwidth_bits: Optional[int] = None,
         max_rounds: int = 10_000_000,
-        compiled: Optional[CompiledTopology] = None,
         npc: Optional[NumpyTopology] = None,
     ) -> None:
-        # Skip FastCongestRun.__init__ on purpose: the pure-python
-        # CompiledTopology costs more to build than the whole vectorized
-        # pipeline at large n, and only the flatarray fallback branches
-        # read it — so it is built lazily by the ``compiled`` property.
-        CongestRun.__init__(
-            self, graph, bandwidth_bits=bandwidth_bits, max_rounds=max_rounds
+        super().__init__(
+            graph, bandwidth_bits=bandwidth_bits, max_rounds=max_rounds
         )
-        if compiled is not None and compiled.graph is not graph:
-            raise ValueError("compiled topology belongs to a different graph")
-        self._compiled = compiled
         if npc is not None and npc.graph is not graph:
             raise ValueError("numpy topology belongs to a different graph")
         self.npc = npc if npc is not None else NumpyTopology(graph)
         self._pending = np.zeros(self.npc.num_edges, dtype=np.int64)
         self._pending_dirty = False
-
-    @property
-    def compiled(self) -> CompiledTopology:
-        """The flatarray compilation, built on first fallback use."""
-        if self._compiled is None:
-            self._compiled = CompiledTopology(self.graph)
-        return self._compiled
 
     # -- pending-array Counter bridge -----------------------------------
 
@@ -595,31 +559,34 @@ def bellman_ford_numpy(
         cand_d = dist_s[cand_s] + w_scaled[positions[mask]]
         assert_int64_bounds(cand_d, "bellman_ford distances")
         cand_tr = tag_rank[cand_s]
-        # Reference keeps the first strictly-smaller (dist, tag repr,
-        # sender repr) candidate per target: lexsort with the target as
-        # the primary key, then take each target's first row.
-        order = np.lexsort((cand_s, cand_tr, cand_d, cand_t))
-        t_sorted = cand_t[order]
-        first = np.ones(t_sorted.size, dtype=bool)
-        first[1:] = t_sorted[1:] != t_sorted[:-1]
-        best_t = t_sorted[first]
-        best_d = cand_d[order][first]
-        best_tr = cand_tr[order][first]
-        best_s = cand_s[order][first]
+        # Reference keeps the least (dist, tag repr, sender repr)
+        # candidate per target: per-target minima by scatter, first of
+        # the distance, then of (tag rank, sender rank) packed into one
+        # int among the candidates at that distance (a sender proposes
+        # to a target once a round, so the minimum is one candidate).
+        best_d_of = np.full(n, UNREACHED, dtype=np.int64)
+        np.minimum.at(best_d_of, cand_t, cand_d)
+        tied = cand_d == best_d_of[cand_t]
+        best_key_of = np.full(n, NO_KEY, dtype=np.int64)
+        np.minimum.at(best_key_of, cand_t[tied], cand_tr[tied] * n + cand_s[tied])
+        best_t = np.flatnonzero(best_key_of != NO_KEY)
+        best_d = best_d_of[best_t]
+        best_tr, best_s = np.divmod(best_key_of[best_t], n)
         cur_d = dist_s[best_t]
         cur_tr = tag_rank[best_t]
         accept = (best_d < cur_d) | ((best_d == cur_d) & (best_tr < cur_tr))
         acc_t = best_t[accept]
         if acc_t.size:
             # Newly reached nodes enter the result dict in the order the
-            # reference first proposes to them this round. best_t is the
-            # sorted unique cand_t, so np.unique's first-occurrence
-            # indices align with it positionally.
-            new_mask = accept & (cur_d == UNREACHED)
-            if new_mask.any():
-                _, first_pos = np.unique(cand_t, return_index=True)
-                order_new = np.argsort(first_pos[new_mask], kind="stable")
-                reach_order.extend(best_t[new_mask][order_new].tolist())
+            # reference first proposes to them this round: by the index
+            # of their first candidate.
+            new_t = best_t[accept & (cur_d == UNREACHED)]
+            if new_t.size:
+                first_of = np.full(n, cand_t.size, dtype=np.int64)
+                np.minimum.at(first_of, cand_t, np.arange(cand_t.size))
+                reach_order.extend(
+                    new_t[np.argsort(first_of[new_t])].tolist()
+                )
             dist_s[acc_t] = best_d[accept]
             tag_rank[acc_t] = best_tr[accept]
             tag_idx[acc_t] = tag_idx[best_s[accept]]
@@ -637,11 +604,16 @@ def bellman_ford_numpy(
         dist[v] = Fraction(d0)
         tag[v] = t
         parent[v] = None
+    # Python ints out of the arrays once; Fraction(x) is the int fast path.
+    dist_l, tag_l, parent_l = (
+        dist_s.tolist(), tag_idx.tolist(), parent_rank.tolist()
+    )
+    source_tags = [t for _, (_, t) in source_items]
     for r in reach_order:
         v = order_nodes[r]
-        dist[v] = Fraction(int(dist_s[r]), denom)
-        tag[v] = source_items[int(tag_idx[r])][1][1]
-        parent[v] = order_nodes[int(parent_rank[r])]
+        dist[v] = Fraction(dist_l[r], denom) if denom != 1 else Fraction(dist_l[r])
+        tag[v] = source_tags[tag_l[r]]
+        parent[v] = order_nodes[parent_l[r]]
     return BellmanFordResult(dist, tag, parent, iterations, stabilized)
 
 

@@ -67,6 +67,19 @@ class TestConstruction:
         assert triangle.neighbors(0) == (1, 2)
         assert triangle.degree(0) == 2
 
+    def test_cached_topology(self):
+        # Node 10 sorts before 9 by repr: canonical order is repr order.
+        g = WeightedGraph([9, 10, 11], [(9, 10, 2), (9, 11, 3)])
+        assert g.edges() == [(10, 9, 2), (11, 9, 3)]
+        g.edges().clear()  # callers get a copy of the cached list
+        assert len(g.edges()) == 2
+        pairs = g.canonical_pairs()
+        assert pairs[(9, 10)] == pairs[(10, 9)] == (10, 9)
+        assert (10, 11) not in pairs
+        assert g.neighbors(9) == (10, 11)
+        assert g.out_edges(9) == ((10, 9), (11, 9))
+        assert g.repr_of[10] == "10"
+
     def test_edge_weight_sum(self, triangle):
         assert triangle.edge_weight_sum([(0, 1), (1, 2)]) == 3
 

@@ -7,7 +7,7 @@ prefix offered to the stop predicate every round. The production
 primitive ranks keys once and runs on integers; on random BFS trees it
 must return the very same item objects and leave the ledger in the very
 same state (rounds, messages, per-edge traffic, phase rounds) on both the
-reference and the compiled ledger.
+reference and the flatarray ledger.
 """
 
 import random
