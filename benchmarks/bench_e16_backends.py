@@ -1,14 +1,15 @@
-"""E16 — simulation-backend speedup curves (reference vs flatarray vs
-sharded).
+"""E16 — simulation-backend speedup curves (reference vs flatarray).
 
-Runs FloodMax leader election on G(n, p) across the three execution
-engines for a sweep of sizes, asserting (a) every backend computes the
+Runs FloodMax leader election on G(n, p) across the execution engines
+for a sweep of sizes, asserting (a) every backend computes the
 identical execution (rounds, ledger messages, elected leaders) and (b)
 the ``flatarray`` engine clears the ≥ 3× speedup bar over ``reference``
 at n = 256 — the acceptance criterion for the backend subsystem. The
 measurements land in ``BENCH_backends.json`` (the first entry in the
 repo's perf trajectory; CI regenerates a tiny-size smoke version as an
-artifact).
+artifact). Each measurement is
+:func:`repro.telemetry.benchcheck.measure_floodmax`, the same driver
+``repro bench check`` re-runs against the committed file.
 
 Environment knobs:
 
@@ -19,14 +20,10 @@ Environment knobs:
 
 import json
 import os
-import random
-import time
 from pathlib import Path
 
 from benchmarks.conftest import print_table
-from repro.congest.simulator import FloodMaxLeaderElection, Simulator
-from repro.simbackend import ShardedBackend
-from repro.workloads import random_connected_graph
+from repro.telemetry.benchcheck import measure_floodmax
 
 SIZES = [
     int(size)
@@ -37,52 +34,24 @@ OUTPUT = Path(
         "E16_OUTPUT", Path(__file__).resolve().parent.parent / "BENCH_backends.json"
     )
 )
-EDGE_P = 0.35
+WORKLOAD = {"program": "floodmax", "family": "gnp", "p": 0.35}
 REPEATS = 3
+BACKENDS = ("reference", "flatarray")
 SPEEDUP_BAR = 3.0  # flatarray vs reference at n = 256 (acceptance bar)
-
-
-def _backends():
-    return [
-        ("reference", lambda: "reference"),
-        ("flatarray", lambda: "flatarray"),
-        ("sharded", lambda: ShardedBackend(num_shards=min(4, os.cpu_count() or 1))),
-    ]
-
-
-def _run_once(graph, backend):
-    programs = {v: FloodMaxLeaderElection() for v in graph.nodes}
-    # Time construction too: every engine pays its setup inside the
-    # clock (flatarray's topology compile, sharded's worker spawn), so
-    # the speedup comparison is end-to-end honest.
-    started = time.perf_counter()
-    sim = Simulator(graph, programs, backend=backend)
-    rounds = sim.run_to_completion()
-    elapsed = time.perf_counter() - started
-    leaders = [programs[v].leader for v in graph.nodes]
-    return elapsed, (rounds, sim.run.messages, leaders)
 
 
 def measure_all():
     entries = []
     for n in SIZES:
-        graph = random_connected_graph(n, EDGE_P, random.Random(n))
         fingerprints = {}
-        for name, make in _backends():
+        for backend in BACKENDS:
             best = float("inf")
             for _ in range(REPEATS):
-                elapsed, fingerprint = _run_once(graph, make())
-                best = min(best, elapsed)
-                fingerprints[name] = fingerprint
-            entries.append(
-                {
-                    "n": n,
-                    "backend": name,
-                    "seconds": best,
-                    "rounds": fingerprint[0],
-                    "messages": fingerprint[1],
-                }
-            )
+                entry, fingerprints[backend] = measure_floodmax(
+                    WORKLOAD, n, backend
+                )
+                best = min(best, entry["seconds"])
+            entries.append(dict(entry, n=n, backend=backend, seconds=best))
         # Conformance inside the benchmark: same rounds, traffic, result.
         assert len(set(map(repr, fingerprints.values()))) == 1, (
             f"backends diverged at n={n}: "
@@ -100,11 +69,11 @@ def _seconds(entries, n, backend):
 def test_e16_backend_speedups(benchmark):
     entries = benchmark.pedantic(measure_all, rounds=1, iterations=1)
     speedups = {
-        backend: {
-            str(n): _seconds(entries, n, "reference") / _seconds(entries, n, backend)
+        "flatarray": {
+            str(n): _seconds(entries, n, "reference")
+            / _seconds(entries, n, "flatarray")
             for n in SIZES
         }
-        for backend in ("flatarray", "sharded")
     }
     rows = [
         (
@@ -118,7 +87,7 @@ def test_e16_backend_speedups(benchmark):
         for entry in entries
     ]
     print_table(
-        f"E16: FloodMax on G(n, {EDGE_P}) per execution engine",
+        f"E16: FloodMax on G(n, {WORKLOAD['p']}) per execution engine",
         ("n", "backend", "best ms", "rounds", "messages", "speedup"),
         rows,
     )
@@ -127,7 +96,7 @@ def test_e16_backend_speedups(benchmark):
         json.dumps(
             {
                 "experiment": "e16-backends",
-                "workload": {"program": "floodmax", "family": "gnp", "p": EDGE_P},
+                "workload": WORKLOAD,
                 "sizes": SIZES,
                 "repeats": REPEATS,
                 "entries": entries,

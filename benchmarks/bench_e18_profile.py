@@ -14,9 +14,12 @@ path selection) end-to-end under the three ledger engines the
 Asserts that every engine computes the byte-identical execution
 (solution weight and edges, rounds, messages, per-edge traffic, phase
 breakdown). The engines share their code, so their wall times are
-recorded but not gated. A :class:`~repro.perf.PhaseProfiler` capture
-of the largest instance per engine lands in the JSON alongside the
-curves, so ``BENCH_profile.json`` shows *where* the pipeline spends its
+recorded but not gated. Each measurement is
+:func:`repro.telemetry.benchcheck.measure_pipeline`, the same driver
+``repro bench check`` re-runs against the committed file. A
+:class:`~repro.perf.PhaseProfiler` capture of the largest instance per
+engine lands in the JSON alongside the curves, so
+``BENCH_profile.json`` shows *where* the pipeline spends its
 rounds/messages/wall-time, not just the total.
 
 Environment knobs:
@@ -28,14 +31,12 @@ Environment knobs:
 
 import json
 import os
-import random
-import time
 from pathlib import Path
 
 from benchmarks.conftest import print_table
 from repro.core.distributed import distributed_moat_growing
 from repro.perf import PhaseProfiler, make_ledger_run
-from repro.workloads import random_instance
+from repro.telemetry.benchcheck import measure_pipeline, pipeline_instance
 
 SIZES = [
     int(size)
@@ -46,33 +47,9 @@ OUTPUT = Path(
         "E18_OUTPUT", Path(__file__).resolve().parent.parent / "BENCH_profile.json"
     )
 )
-EDGE_P = 0.35
-COMPONENTS = 3
+WORKLOAD = {"algorithm": "distributed", "family": "gnp", "p": 0.35, "k": 3}
 REPEATS = 3
 BACKENDS = ("reference", "flatarray", "auto")
-
-
-def _fingerprint(result):
-    """Everything observable about one pipeline execution."""
-    return (
-        result.solution.weight,
-        sorted(result.solution.edges, key=repr),
-        result.rounds,
-        result.run.messages,
-        sorted(result.run.edge_messages.items(), key=repr),
-        result.num_phases,
-        dict(result.run.phase_rounds),
-    )
-
-
-def _run_once(instance, backend):
-    # Ledger construction is inside the clock, so the comparison is
-    # end-to-end.
-    started = time.perf_counter()
-    run = make_ledger_run(backend, instance.graph)
-    result = distributed_moat_growing(instance, run=run)
-    elapsed = time.perf_counter() - started
-    return elapsed, result
 
 
 def _profile_once(instance, backend):
@@ -88,29 +65,21 @@ def measure_all():
     entries = []
     profiles = {}
     for n in SIZES:
-        instance = random_instance(n, COMPONENTS, random.Random(n), p=EDGE_P)
         fingerprints = {}
         for backend in BACKENDS:
             best = float("inf")
             for _ in range(REPEATS):
-                elapsed, result = _run_once(instance, backend)
-                best = min(best, elapsed)
-                fingerprints[backend] = _fingerprint(result)
-            entries.append(
-                {
-                    "n": n,
-                    "backend": backend,
-                    "seconds": best,
-                    "rounds": fingerprints[backend][2],
-                    "messages": fingerprints[backend][3],
-                    "weight": fingerprints[backend][0],
-                }
-            )
+                entry, fingerprints[backend] = measure_pipeline(
+                    WORKLOAD, n, backend
+                )
+                best = min(best, entry["seconds"])
+            entries.append(dict(entry, n=n, backend=backend, seconds=best))
         # Conformance inside the benchmark: identical pipeline output.
         assert len(set(map(repr, fingerprints.values()))) == 1, (
             f"ledger engines diverged at n={n}"
         )
         if n == max(SIZES):
+            instance = pipeline_instance(WORKLOAD, n)
             profiles = {
                 backend: _profile_once(instance, backend)
                 for backend in BACKENDS
@@ -147,7 +116,8 @@ def test_e18_pipeline_profile(benchmark):
         for entry in entries
     ]
     print_table(
-        f"E18: distributed pipeline on G(n, {EDGE_P}), k={COMPONENTS}, "
+        f"E18: distributed pipeline on G(n, {WORKLOAD['p']}), "
+        f"k={WORKLOAD['k']}, "
         "per ledger engine",
         ("n", "backend", "best ms", "rounds", "messages", "speedup"),
         rows,
@@ -157,12 +127,7 @@ def test_e18_pipeline_profile(benchmark):
         json.dumps(
             {
                 "experiment": "e18-profile",
-                "workload": {
-                    "algorithm": "distributed",
-                    "family": "gnp",
-                    "p": EDGE_P,
-                    "k": COMPONENTS,
-                },
+                "workload": WORKLOAD,
                 "sizes": SIZES,
                 "repeats": REPEATS,
                 "entries": entries,

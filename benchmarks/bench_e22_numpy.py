@@ -22,7 +22,9 @@ last measurement taken while ``flatarray`` still had compiled branches
 of its own: numpy was 8.84× that path (and 11.66× the plain loops,
 against a 10× bar then); 7.5× keeps the same margin. The committed output (``BENCH_numpy.json``) includes an
 n = 64 entry so ``repro bench check``'s default size cap re-measures
-the e22 driver in CI.
+the e22 driver in CI. Each measurement is
+:func:`repro.telemetry.benchcheck.measure_primitives`, the same driver
+the gate re-runs against the committed file.
 
 Environment knobs:
 
@@ -35,9 +37,6 @@ Requires the optional numpy extra (the whole module skips without it).
 
 import json
 import os
-import random
-import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -50,11 +49,7 @@ if not numpy_tier_available():  # pragma: no cover - numpy-extra CI only
         "optional numpy extra not installed", allow_module_level=True
     )
 
-from repro.congest.bellman_ford import bellman_ford
-from repro.congest.bfs import build_bfs_tree
-from repro.congest.broadcast import broadcast_items, convergecast_aggregate
-from repro.perf import make_ledger_run
-from repro.workloads import random_connected_graph
+from repro.telemetry.benchcheck import measure_primitives
 
 SIZES = [
     int(size)
@@ -68,88 +63,33 @@ OUTPUT = Path(
 #: Sparse topology: expected degree ~8, so reference finishes at
 #: n = 4096 in benchable time while the per-round arrays stay large
 #: enough for the vectorization to matter.
-TARGET_DEGREE = 8
-NUM_SOURCES = 8
-NUM_ITEMS = 32
+WORKLOAD = {
+    "pipeline": "regular-primitives",
+    "degree": 8,
+    "num_sources": 8,
+    "num_items": 32,
+}
 REPEATS = 3
 BACKENDS = ("reference", "flatarray", "numpy")
 SPEEDUP_BAR = 7.5  # numpy vs the Python path at n = 4096 (acceptance bar)
 
 
-def _build_graph(n):
-    # Mirrored exactly by repro.telemetry.benchcheck._measure_primitives
-    # — the gate re-measures committed entries with this construction.
-    p = min(0.35, TARGET_DEGREE / n)
-    return random_connected_graph(n, p, random.Random(n))
-
-
-def _primitives_pipeline(graph, backend):
-    """One full regular-primitives execution; returns the raw results."""
-    run = make_ledger_run(backend, graph)
-    tree = build_bfs_tree(graph, run=run)
-    nodes = graph.nodes
-    step = max(1, len(nodes) // NUM_SOURCES)
-    sources = {
-        nodes[i]: (Fraction(0), f"tag{i}")
-        for i in range(0, len(nodes), step)
-    }
-    bf = bellman_ford(graph, sources, run)
-    items = [("item", i) for i in range(NUM_ITEMS)]
-    broadcast_items(tree, items, run)
-    total = convergecast_aggregate(
-        tree, {v: 1 for v in nodes}, lambda a, b: a + b, run
-    )
-    return run, tree, bf, total
-
-
-def _fingerprint(run, tree, bf, total):
-    return (
-        list(tree.parent.items()),
-        tree.depth,
-        list(bf.dist.items()),
-        list(bf.tag.items()),
-        list(bf.parent.items()),
-        bf.iterations,
-        total,
-        run.rounds,
-        run.messages,
-        sorted(run.edge_messages.items(), key=repr),
-    )
-
-
-def _run_once(graph, backend):
-    # Ledger construction inside the clock (the numpy tier pays its
-    # topology compilation, so the speedup comparison is end-to-end);
-    # fingerprint materialization outside it (sorting the full per-edge
-    # ledger by repr is verification work, not primitive execution).
-    started = time.perf_counter()
-    run, tree, bf, total = _primitives_pipeline(graph, backend)
-    elapsed = time.perf_counter() - started
-    return elapsed, run, _fingerprint(run, tree, bf, total)
-
-
 def measure_all():
     entries = []
     for n in SIZES:
-        graph = _build_graph(n)
-        fingerprints = {}
+        measured, fingerprints = {}, {}
         best = dict.fromkeys(BACKENDS, float("inf"))
         # Round-robin over the tiers, so a drift in host speed during
         # the sweep reaches every tier alike.
         for _ in range(REPEATS):
             for backend in BACKENDS:
-                elapsed, run, fingerprint = _run_once(graph, backend)
-                best[backend] = min(best[backend], elapsed)
-                fingerprints[backend] = fingerprint
+                measured[backend], fingerprints[backend] = measure_primitives(
+                    WORKLOAD, n, backend
+                )
+                best[backend] = min(best[backend], measured[backend]["seconds"])
         for backend in BACKENDS:
             entries.append(
-                {
-                    "n": n,
-                    "backend": backend,
-                    "seconds": best[backend],
-                    "rounds": fingerprints[backend][7],
-                    "messages": fingerprints[backend][8],
-                }
+                dict(measured[backend], n=n, backend=backend, seconds=best[backend])
             )
         # Conformance inside the benchmark: byte-identical execution
         # (results *and* dict orders *and* the full per-edge ledger).
@@ -187,7 +127,7 @@ def test_e22_numpy_primitives(benchmark):
     ]
     print_table(
         "E22: regular primitives (BFS + Bellman–Ford + broadcast + "
-        f"convergecast), degree≈{TARGET_DEGREE}, per ledger tier",
+        f"convergecast), degree≈{WORKLOAD['degree']}, per ledger tier",
         ("n", "backend", "best ms", "rounds", "messages", "speedup"),
         rows,
     )
@@ -196,12 +136,7 @@ def test_e22_numpy_primitives(benchmark):
         json.dumps(
             {
                 "experiment": "e22-numpy",
-                "workload": {
-                    "pipeline": "regular-primitives",
-                    "degree": TARGET_DEGREE,
-                    "num_sources": NUM_SOURCES,
-                    "num_items": NUM_ITEMS,
-                },
+                "workload": WORKLOAD,
                 "sizes": SIZES,
                 "repeats": REPEATS,
                 "entries": entries,

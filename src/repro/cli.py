@@ -127,7 +127,7 @@ def parse_backend_arg(text: str) -> Dict[str, Any]:
     """Parse a ``--backend`` value into a canonical backend spec.
 
     Accepts an engine name (``flatarray``), a name with ``key=value``
-    parameters (``sharded:num_shards=4``), or a full JSON spec object.
+    parameters (``auto:threshold=128``), or a full JSON spec object.
     """
     text = text.strip()
     if text.startswith("{"):

@@ -31,9 +31,8 @@ Example::
 The :class:`Simulator` itself is a facade: the round loop is owned by a
 pluggable :class:`~repro.simbackend.SimulationBackend` (see
 :mod:`repro.simbackend`) — the default ``reference`` engine reproduces
-the original per-node-object loop exactly, ``flatarray`` runs the same
-execution on a compiled integer-indexed topology, and ``sharded``
-partitions the nodes across worker processes.
+the original per-node-object loop exactly, and ``flatarray`` runs the
+same execution on a compiled integer-indexed topology.
 """
 
 import random
@@ -130,8 +129,7 @@ class Simulator:
 
     @property
     def contexts(self) -> Dict[Node, Context]:
-        """The per-node Context objects (where the engine keeps them
-        in-process; the sharded engine's live contexts are worker-side)."""
+        """The per-node Context objects."""
         return self.backend.contexts
 
     @property
@@ -170,9 +168,8 @@ class Simulator:
         return self.backend.run_to_completion(max_rounds=max_rounds)
 
     def close(self) -> None:
-        """Release backend resources and any streaming trace handle
-        (idempotent; run_to_completion closes automatically)."""
-        self.backend.close()
+        """Release any streaming trace handle (idempotent;
+        run_to_completion closes automatically)."""
         if self.trace is not None:
             self.trace.close()
 

@@ -59,9 +59,7 @@ def make_ledger_run(
     build_backend`, used by the experiment runner and the CLI to thread
     the ``--backend`` axis into the paper's solvers:
 
-    * ``reference`` (and ``sharded``, which has no ledger-level analogue
-      — its win is multiprocess NodeProgram dispatch) → a plain
-      :class:`CongestRun`;
+    * ``reference`` → a plain :class:`CongestRun`;
     * ``flatarray`` → a :class:`FastCongestRun`;
     * ``numpy`` → a :class:`repro.perf.npkernels.NumpyCongestRun` (only
       reachable when the optional numpy extra registered the tier —

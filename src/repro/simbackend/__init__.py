@@ -12,9 +12,6 @@ while the engine that turns the crank is swappable:
 * :mod:`repro.simbackend.flatarray` — a batched fast path over a
   compiled CSR-style integer-indexed topology (no per-round dict churn
   or node-object hashing on the hot path).
-* :mod:`repro.simbackend.sharded` — a multiprocess engine that
-  partitions nodes across worker processes with per-round batched IPC,
-  so one large instance uses many cores.
 * :mod:`repro.simbackend.npbackend` — the optional ``numpy`` tier's
   message-level engine (flat-array execution with numpy flush
   ordering); registered only when numpy imports, so the reference path
@@ -58,7 +55,6 @@ from repro.simbackend.base import (
 )
 from repro.simbackend.flatarray import FlatArrayBackend
 from repro.simbackend.reference import ReferenceBackend
-from repro.simbackend.sharded import ShardedBackend
 
 try:  # The numpy tier is an optional extra: absence is not an error.
     from repro.simbackend.npbackend import NumpyBackend
@@ -82,5 +78,4 @@ __all__ = [
     "register_backend",
     "FlatArrayBackend",
     "ReferenceBackend",
-    "ShardedBackend",
 ]

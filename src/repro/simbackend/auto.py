@@ -11,9 +11,8 @@ using the measured crossover from ``BENCH_backends.json`` /
 * from the threshold up, ``flatarray`` wins and keeps winning (the
   benchmarks show 3–4× on message-level programs and ≥ 2× on the paper
   pipeline at n = 256);
-* ``sharded`` is **never** auto-picked: its per-round IPC only pays off
-  when ``on_round`` does heavy per-node computation, which cannot be
-  detected from the topology alone — opt into it explicitly.
+* from :data:`NUMPY_THRESHOLD_NODES` up, the vectorized ``numpy`` tier
+  wins when the optional extra is installed.
 
 The same heuristic drives the ledger-level fast path for the paper's
 solvers (see :func:`repro.perf.make_ledger_run`), so ``--backend auto``
@@ -152,11 +151,6 @@ class AutoBackend(SimulationBackend):
             )
         )
         self._engine.bind(graph, programs, run, network, trace)
-
-    def close(self) -> None:
-        """Release the delegate engine's resources (idempotent)."""
-        if self._engine is not None:
-            self._engine.close()
 
     # -- execution contract (pure delegation) ----------------------------
 

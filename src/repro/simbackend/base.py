@@ -9,8 +9,7 @@ are swappable implementations of one contract: given a graph, one
 :class:`~repro.netmodel.NetworkModel`, and an optional
 :class:`~repro.netmodel.TraceRecorder`, produce the *same* execution —
 identical rounds, ledger traffic, trace events, and final program states —
-while being free to choose the data layout and process topology that
-computes it.
+while being free to choose the data layout that computes it.
 
 Like network conditions, backends are hashable experiment input: a
 backend is identified by a canonical ``{"name", "params"}`` spec dict
@@ -25,9 +24,9 @@ same canonical message order, so one model implementation serves every
 execution engine.
 """
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
-from repro.exceptions import CongestViolationError, SimulationError
+from repro.exceptions import SimulationError
 from repro.model.graph import Node, WeightedGraph
 from repro.netmodel import NetworkModel, TraceRecorder
 
@@ -76,9 +75,7 @@ class SimulationBackend:
 
     Lifecycle: construct (with engine parameters only), then
     :meth:`bind` once per execution, then :meth:`start` / :meth:`step`
-    or :meth:`run_to_completion`. :meth:`close` releases any resources a
-    backend holds (worker processes); it is idempotent and called
-    automatically by :meth:`run_to_completion`.
+    or :meth:`run_to_completion`, which also closes a streaming trace.
     """
 
     name = "abstract"
@@ -121,9 +118,6 @@ class SimulationBackend:
         self.trace = trace
         self.round = 0
 
-    def close(self) -> None:
-        """Release backend resources (worker processes, buffers)."""
-
     # -- execution contract ----------------------------------------------
 
     @property
@@ -164,16 +158,8 @@ class SimulationBackend:
                 rounds += 1
         except BaseException:
             # Best-effort cleanup; the original error is what matters.
-            try:
-                self.close()
-            except Exception:
-                pass
             self._close_trace(swallow=True)
             raise
-        # On success close() must not be silenced: a sharded engine that
-        # cannot sync final program states back has to fail loudly, not
-        # return a round count with stale caller-side state.
-        self.close()
         self._close_trace(swallow=False)
         return rounds
 
@@ -229,9 +215,14 @@ def normalize_backend(backend: BackendLike) -> Dict[str, Any]:
                 f"unexpected backend spec keys {sorted(unknown)}; "
                 'expected {"name": name, "params": {...}}'
             )
+        params = backend.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ValueError(
+                f"backend spec 'params' must be an object, got {params!r}"
+            )
         return {
             "name": str(backend.get("name", DEFAULT_BACKEND["name"])),
-            "params": dict(backend.get("params", {})),
+            "params": dict(params),
         }
     raise TypeError(f"cannot interpret backend spec {backend!r}")
 
@@ -267,65 +258,3 @@ def build_backend(backend: BackendLike = None) -> "SimulationBackend":
         raise ValueError(
             f"bad parameters for simulation backend {spec['name']!r}: {exc}"
         ) from None
-
-
-def backend_sort_pairs(
-    items: Mapping[Tuple[Node, Node], Any]
-) -> List[Tuple[Tuple[Node, Node], Any]]:
-    """Outbox entries in canonical flush order (shared by backends).
-
-    Deterministic order must depend on the (sender, receiver) key only,
-    never on the payload — and on a type-stable total order, never on
-    ``repr`` (under which ``repr(9) > repr(10)``).
-    """
-    from repro.netmodel import node_sort_key
-
-    return sorted(
-        items.items(),
-        key=lambda item: (node_sort_key(item[0][0]), node_sort_key(item[0][1])),
-    )
-
-
-def queue_outbox_message(
-    graph: WeightedGraph,
-    outbox: Dict[Tuple[Node, Node], Any],
-    sender: Node,
-    receiver: Node,
-    payload: Any,
-) -> None:
-    """The shared CONGEST send validation: one message per neighbor per
-    round, edges only. Used by every dict-outbox engine (reference and
-    the sharded workers) so the contract and error wording cannot
-    diverge; the flatarray engine enforces the same checks (and strings)
-    on its integer-indexed path."""
-    if not graph.has_edge(sender, receiver):
-        raise CongestViolationError(
-            f"{sender!r} cannot reach non-neighbor {receiver!r}"
-        )
-    key = (sender, receiver)
-    if key in outbox:
-        raise CongestViolationError(
-            f"{sender!r} already sent to {receiver!r} this round"
-        )
-    outbox[key] = payload
-
-
-def copy_program_state(local: Any, remote: Any) -> None:
-    """Copy a program's final state from ``remote`` onto ``local`` in
-    place (the sharded engine's sync-back): dict attributes plus any
-    ``__slots__`` attributes anywhere in the MRO."""
-    if hasattr(local, "__dict__"):
-        local.__dict__.clear()
-        local.__dict__.update(getattr(remote, "__dict__", {}))
-    for cls in type(remote).__mro__:
-        for name in getattr(cls, "__slots__", ()) or ():
-            if name in ("__dict__", "__weakref__"):
-                continue
-            try:
-                setattr(local, name, getattr(remote, name))
-            except AttributeError:
-                # Never assigned in the worker: clear locally too.
-                try:
-                    delattr(local, name)
-                except AttributeError:
-                    pass

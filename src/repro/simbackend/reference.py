@@ -11,16 +11,15 @@ event-for-event (see ``tests/test_simbackend_conformance.py``).
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.exceptions import SimulationError
+from repro.exceptions import CongestViolationError, SimulationError
 from repro.model.graph import Node, WeightedGraph
-from repro.netmodel import NetworkModel, TraceRecorder, payload_bits
-from repro.simbackend.base import (
-    Context,
-    SimulationBackend,
-    backend_sort_pairs,
-    queue_outbox_message,
-    register_backend,
+from repro.netmodel import (
+    NetworkModel,
+    TraceRecorder,
+    node_sort_key,
+    payload_bits,
 )
+from repro.simbackend.base import Context, SimulationBackend, register_backend
 
 
 @register_backend
@@ -49,7 +48,19 @@ class ReferenceBackend(SimulationBackend):
     # -- internal hooks used by Context --------------------------------
 
     def _queue_message(self, sender: Node, receiver: Node, payload: Any) -> None:
-        queue_outbox_message(self.graph, self._outbox, sender, receiver, payload)
+        # The CONGEST send contract: edges only, one message per neighbor
+        # per round. The flatarray engine enforces the same checks with
+        # the same error strings on its integer-indexed path.
+        if not self.graph.has_edge(sender, receiver):
+            raise CongestViolationError(
+                f"{sender!r} cannot reach non-neighbor {receiver!r}"
+            )
+        key = (sender, receiver)
+        if key in self._outbox:
+            raise CongestViolationError(
+                f"{sender!r} already sent to {receiver!r} this round"
+            )
+        self._outbox[key] = payload
 
     def _halt(self, node: Node) -> None:
         self._halted.add(node)
@@ -83,7 +94,15 @@ class ReferenceBackend(SimulationBackend):
         """Hand queued messages to the network model; returns the ledger
         traffic for this round (canonical flush order, payload-blind)."""
         traffic: Dict[Tuple[Node, Node], int] = {}
-        sent = backend_sort_pairs(self._outbox)
+        # Canonical flush order depends on the (sender, receiver) key only,
+        # never on the payload, and on a type-stable total order, never on
+        # ``repr`` (under which ``repr(9) > repr(10)``).
+        sent = sorted(
+            self._outbox.items(),
+            key=lambda item: (
+                node_sort_key(item[0][0]), node_sort_key(item[0][1])
+            ),
+        )
         self._outbox = {}
         removes_nodes = self.network.removes_nodes
         for (sender, receiver), payload in sent:
@@ -139,19 +158,6 @@ class ReferenceBackend(SimulationBackend):
             inboxes.setdefault(receiver, []).append((sender, payload))
             delivered += 1
             bits += payload_bits(payload)
-        self._dispatch_round(inboxes)
-        if self.trace is not None:
-            self.trace.record_round(
-                self.round, len(traffic), delivered, dropped, bits
-            )
-        return True
-
-    def _dispatch_round(
-        self, inboxes: Dict[Node, List[Tuple[Node, Any]]]
-    ) -> None:
-        """Run on_round for every live, unhalted node (overridable: the
-        sharded engine farms this part out to worker processes)."""
-        removes_nodes = self.network.removes_nodes
         for v in self.graph.nodes:
             if v in self._halted or (
                 removes_nodes and not self.network.alive(v)
@@ -160,3 +166,8 @@ class ReferenceBackend(SimulationBackend):
             ctx = self.contexts[v]
             ctx.round = self.round
             self.programs[v].on_round(ctx, inboxes.get(v, []))
+        if self.trace is not None:
+            self.trace.record_round(
+                self.round, len(traffic), delivered, dropped, bits
+            )
+        return True

@@ -27,7 +27,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Wall-time slack: measured seconds may be tolerance × committed,
 #: but never less than this many absolute seconds (tiny committed
@@ -126,39 +126,66 @@ def _compare(
     )
 
 
-def _measure_pipeline(workload: Dict[str, Any], n: int, backend: str) -> Dict[str, Any]:
-    """One BENCH_profile-style entry, re-measured (same construction as
-    ``benchmarks/bench_e18_profile.py``)."""
+def pipeline_instance(workload: Dict[str, Any], n: int) -> Any:
+    """The BENCH_profile instance of size ``n``: ``random_instance(n, k,
+    Random(n), p)`` with the ``workload``'s ``k`` and ``p``."""
+    from repro.workloads import random_instance
+
+    return random_instance(
+        n,
+        int(workload.get("k", 3)),
+        random.Random(n),
+        p=float(workload.get("p", 0.35)),
+    )
+
+
+def measure_pipeline(
+    workload: Dict[str, Any], n: int, backend: str
+) -> Tuple[Dict[str, Any], Any]:
+    """One BENCH_profile entry: the ``workload``'s run-accepting solver
+    on :func:`pipeline_instance`, ledger construction inside the clock. The single definition behind both
+    ``benchmarks/bench_e18_profile.py`` and the gate; returns the entry
+    and the execution fingerprint (solution, rounds, per-edge traffic,
+    phase breakdown)."""
     from repro.engine.algorithms import ALGORITHMS
     from repro.perf import make_ledger_run
-    from repro.workloads import random_instance
 
     algorithm = ALGORITHMS[workload.get("algorithm", "distributed")]
     if not algorithm.accepts_run:
         raise ValueError(
             f"bench workload algorithm {algorithm.name!r} has no ledger"
         )
-    instance = random_instance(
-        n,
-        int(workload.get("k", 3)),
-        random.Random(n),
-        p=float(workload.get("p", 0.35)),
-    )
+    instance = pipeline_instance(workload, n)
     started = time.perf_counter()
     run = make_ledger_run(backend, instance.graph)
     result = algorithm.run(instance, random.Random(0), run=run)
     elapsed = time.perf_counter() - started
-    return {
+    entry = {
         "seconds": elapsed,
         "rounds": result.rounds,
         "messages": run.messages,
         "weight": result.solution.weight,
     }
+    fingerprint = (
+        result.solution.weight,
+        sorted(result.solution.edges, key=repr),
+        result.rounds,
+        run.messages,
+        sorted(run.edge_messages.items(), key=repr),
+        getattr(result, "num_phases", None),
+        dict(run.phase_rounds),
+    )
+    return entry, fingerprint
 
 
-def _measure_floodmax(workload: Dict[str, Any], n: int, backend: str) -> Dict[str, Any]:
-    """One BENCH_backends-style entry, re-measured (same construction as
-    ``benchmarks/bench_e16_backends.py``)."""
+def measure_floodmax(
+    workload: Dict[str, Any], n: int, backend: str
+) -> Tuple[Dict[str, Any], Any]:
+    """One BENCH_backends entry: FloodMax leader election on
+    ``G(n, p)`` seeded by ``n``, simulator construction inside the
+    clock. The single definition behind both
+    ``benchmarks/bench_e16_backends.py`` and the gate; returns the entry
+    and the execution fingerprint (rounds, messages, elected leaders)."""
     from repro.congest.simulator import FloodMaxLeaderElection, Simulator
     from repro.workloads import random_connected_graph
 
@@ -170,10 +197,14 @@ def _measure_floodmax(workload: Dict[str, Any], n: int, backend: str) -> Dict[st
     sim = Simulator(graph, programs, backend=backend)
     rounds = sim.run_to_completion()
     elapsed = time.perf_counter() - started
-    return {"seconds": elapsed, "rounds": rounds, "messages": sim.run.messages}
+    entry = {"seconds": elapsed, "rounds": rounds, "messages": sim.run.messages}
+    leaders = [programs[v].leader for v in graph.nodes]
+    return entry, (rounds, sim.run.messages, leaders)
 
 
-def _measure_serve(workload: Dict[str, Any], n: int, backend: str) -> Dict[str, Any]:
+def _measure_serve(
+    workload: Dict[str, Any], n: int, backend: str
+) -> Tuple[Dict[str, Any], None]:
     """One BENCH_serve-style entry, re-measured (same load generation as
     ``benchmarks/bench_e19_serve.py``): ``backend`` is the config label
     (``hit<percent>-c<clients>``), ``n`` the per-client request count.
@@ -182,15 +213,12 @@ def _measure_serve(workload: Dict[str, Any], n: int, backend: str) -> Dict[str, 
     compare them like the engine benches compare rounds."""
     from repro.serve.loadgen import measure_config
 
-    entry = measure_config(workload, per_client=n, label=backend)
-    return {
-        "seconds": entry["seconds"],
-        "requests": entry["requests"],
-        "hits": entry["hits"],
-    }
+    return measure_config(workload, per_client=n, label=backend), None
 
 
-def _measure_observe(workload: Dict[str, Any], n: int, backend: str) -> Dict[str, Any]:
+def _measure_observe(
+    workload: Dict[str, Any], n: int, backend: str
+) -> Tuple[Dict[str, Any], None]:
     """One BENCH_observe-style entry, re-measured (same load generation
     as ``benchmarks/bench_e20_observe.py``): ``backend`` is the daemon
     mode (``instrumented`` or ``detached``), ``n`` the warm-hit request
@@ -198,15 +226,12 @@ def _measure_observe(workload: Dict[str, Any], n: int, backend: str) -> Dict[str
     ``requests`` and ``hits`` are exact."""
     from repro.serve.loadgen import measure_observe
 
-    entry = measure_observe(workload, requests=n, mode=backend)
-    return {
-        "seconds": entry["seconds"],
-        "requests": entry["requests"],
-        "hits": entry["hits"],
-    }
+    return measure_observe(workload, requests=n, mode=backend), None
 
 
-def _measure_store(workload: Dict[str, Any], n: int, backend: str) -> Dict[str, Any]:
+def _measure_store(
+    workload: Dict[str, Any], n: int, backend: str
+) -> Tuple[Dict[str, Any], None]:
     """One BENCH_store-style entry, re-measured (same synthetic store
     and lookup mix as ``benchmarks/bench_e21_store.py``): ``backend``
     is the lookup mode (``scan`` or ``indexed``), ``n`` the store's row
@@ -214,22 +239,20 @@ def _measure_store(workload: Dict[str, Any], n: int, backend: str) -> Dict[str, 
     the gate compares them exactly."""
     from repro.engine.storebench import DEFAULT_LOOKUPS, measure_mode
 
-    entry = measure_mode(
-        n, backend, lookups=int(workload.get("lookups", DEFAULT_LOOKUPS))
-    )
-    return {
-        "seconds": entry["seconds"],
-        "rows": entry["rows"],
-        "lookups": entry["lookups"],
-    }
+    lookups = int(workload.get("lookups", DEFAULT_LOOKUPS))
+    return measure_mode(n, backend, lookups=lookups), None
 
 
-def _measure_primitives(workload: Dict[str, Any], n: int, backend: str) -> Dict[str, Any]:
-    """One BENCH_numpy-style entry, re-measured (same construction as
-    ``benchmarks/bench_e22_numpy.py``): the regular-primitives pipeline
-    — BFS tree, multi-source Bellman–Ford, pipelined broadcast,
-    convergecast aggregation — on a sparse random connected graph,
-    charged against the ledger tier named by ``backend``."""
+def measure_primitives(
+    workload: Dict[str, Any], n: int, backend: str
+) -> Tuple[Dict[str, Any], Any]:
+    """One BENCH_numpy entry: the regular-primitives pipeline — BFS
+    tree, multi-source Bellman–Ford, pipelined broadcast, convergecast
+    aggregation — on a sparse random connected graph, charged against
+    the ledger tier named by ``backend``. Ledger construction is inside
+    the clock; the fingerprint (tree, distances/tags/parents, aggregate,
+    full per-edge ledger) is built outside it. The single definition
+    behind both ``benchmarks/bench_e22_numpy.py`` and the gate."""
     from fractions import Fraction
 
     from repro.congest.bellman_ford import bellman_ford
@@ -256,21 +279,38 @@ def _measure_primitives(workload: Dict[str, Any], n: int, backend: str) -> Dict[
         nodes[i]: (Fraction(0), f"tag{i}")
         for i in range(0, len(nodes), step)
     }
-    bellman_ford(graph, sources, run)
+    bf = bellman_ford(graph, sources, run)
     broadcast_items(tree, [("item", i) for i in range(num_items)], run)
-    convergecast_aggregate(tree, {v: 1 for v in nodes}, lambda a, b: a + b, run)
+    total = convergecast_aggregate(
+        tree, {v: 1 for v in nodes}, lambda a, b: a + b, run
+    )
     elapsed = time.perf_counter() - started
-    return {"seconds": elapsed, "rounds": run.rounds, "messages": run.messages}
+    entry = {"seconds": elapsed, "rounds": run.rounds, "messages": run.messages}
+    fingerprint = (
+        list(tree.parent.items()),
+        tree.depth,
+        list(bf.dist.items()),
+        list(bf.tag.items()),
+        list(bf.parent.items()),
+        bf.iterations,
+        total,
+        run.rounds,
+        run.messages,
+        sorted(run.edge_messages.items(), key=repr),
+    )
+    return entry, fingerprint
 
 
 #: Per-bench re-measurement drivers, keyed by the JSON's ``experiment``.
+#: Each returns ``(entry, fingerprint)``; the service benches have no
+#: execution to fingerprint and return ``None``.
 _DRIVERS = {
-    "e18-profile": _measure_pipeline,
-    "e16-backends": _measure_floodmax,
+    "e18-profile": measure_pipeline,
+    "e16-backends": measure_floodmax,
     "e19-serve": _measure_serve,
     "e20-observe": _measure_observe,
     "e21-store": _measure_store,
-    "e22-numpy": _measure_primitives,
+    "e22-numpy": measure_primitives,
 }
 
 
@@ -307,9 +347,9 @@ def check_bench_file(
                 with telemetry.span(
                     "bench-check", bench=path.name, n=n, backend=backend
                 ):
-                    measured = driver(workload, n, backend)
+                    measured, _ = driver(workload, n, backend)
             else:
-                measured = driver(workload, n, backend)
+                measured, _ = driver(workload, n, backend)
         except BackendUnavailable:
             report.skipped += 1
             continue

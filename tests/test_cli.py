@@ -176,10 +176,14 @@ class TestNetworkOptions:
             "reliable", "delay", "lossy",
         }
 
-    def test_invalid_network_errors(self, capsys):
+    @pytest.mark.parametrize(
+        "network",
+        ["lossy:oops", '{"model": "lossy", "params": [1]}'],
+    )
+    def test_invalid_network_errors(self, capsys, network):
         code = main(
             ["sweep", "--scenario", "grid-rounds", "--no-store",
-             "--network", "lossy:oops"]
+             "--network", network]
         )
         assert code == 2
         assert "invalid --network" in capsys.readouterr().err
@@ -202,22 +206,22 @@ class TestBackendOptions:
         }
 
     def test_parse_key_values(self):
-        spec = parse_backend_arg("sharded:num_shards=4")
-        assert spec == {"name": "sharded", "params": {"num_shards": 4}}
+        spec = parse_backend_arg("auto:threshold=128")
+        assert spec == {"name": "auto", "params": {"threshold": 128}}
 
     def test_parse_json_object(self):
-        text = '{"name": "sharded", "params": {"num_shards": 2}}'
-        assert parse_backend_arg(text)["params"] == {"num_shards": 2}
+        text = '{"name": "auto", "params": {"numpy_threshold": 2}}'
+        assert parse_backend_arg(text)["params"] == {"numpy_threshold": 2}
 
     def test_parse_rejects_bare_parameter(self):
         with pytest.raises(ValueError, match="key=value"):
-            parse_backend_arg("sharded:4")
+            parse_backend_arg("auto:4")
 
     def test_parse_rejects_misplaced_json_keys(self):
         # Parameters nested one level too shallow must error, not
         # silently run the engine with defaults.
         with pytest.raises(ValueError, match="unexpected backend spec keys"):
-            parse_backend_arg('{"name": "sharded", "num_shards": 8}')
+            parse_backend_arg('{"name": "auto", "threshold": 8}')
         with pytest.raises(ValueError, match="unexpected network spec keys"):
             parse_network_arg('{"model": "lossy", "drop_p": 0.5}')
 
@@ -238,13 +242,28 @@ class TestBackendOptions:
             "reference", "flatarray",
         }
 
-    def test_invalid_backend_errors(self, capsys):
+    @pytest.mark.parametrize(
+        "backend",
+        ["auto:oops", '{"name": "auto", "params": 5}'],
+    )
+    def test_invalid_backend_errors(self, capsys, backend):
         code = main(
             ["sweep", "--scenario", "grid-rounds", "--no-store",
-             "--backend", "sharded:oops"]
+             "--backend", backend]
         )
         assert code == 2
         assert "invalid --backend" in capsys.readouterr().err
+
+    def test_removed_sharded_backend_errors(self, capsys):
+        code = main(
+            ["sweep", "--scenario", "grid-rounds", "--no-store",
+             "--backend", "sharded"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid --backend" in err and "'sharded'" in err
+        assert "'reference'" in err and "'flatarray'" in err
+        assert "'auto'" in err
 
     def test_unknown_backend_errors(self, capsys):
         code = main(
@@ -263,6 +282,24 @@ class TestBackendOptions:
         assert "flatarray" in capsys.readouterr().out
         assert main(["report", "--store", store, "--backend", "sharded"]) == 0
         assert "no records" in capsys.readouterr().out
+
+    def test_report_reads_records_of_a_removed_backend(self, tmp_path, capsys):
+        # Stores written while the multiprocess ``sharded`` engine
+        # existed stay readable: reporting never builds a backend.
+        store = tmp_path / "results.jsonl"
+        main(["sweep", "--scenario", "grid-rounds", "--store", str(store),
+              "--serial", "--backend", "flatarray"])
+        capsys.readouterr()
+        rows = [json.loads(line) for line in store.read_text().splitlines()]
+        for row in rows:
+            row["backend"] = {"name": "sharded", "params": {"num_shards": 2}}
+            row["backend_name"] = "sharded"
+        store.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        for idx in tmp_path.glob("*.idx"):
+            idx.unlink()
+        assert main(["report", "--store", str(store), "--backend", "sharded"]) == 0
+        out = capsys.readouterr().out
+        assert "sharded" in out and "no records" not in out
 
     def test_sweep_emits_progress_to_stderr(self, tmp_path, capsys):
         store = str(tmp_path / "results.jsonl")

@@ -428,7 +428,7 @@ class TestBackendAxis:
     BACKENDS = [
         "reference",
         "flatarray",
-        {"name": "sharded", "params": {"num_shards": 2}},
+        {"name": "auto", "params": {"threshold": 2}},
     ]
 
     def test_default_backend_keeps_v2_identity(self):
@@ -448,7 +448,7 @@ class TestBackendAxis:
         keys = {job.key for job in jobs}
         assert len(keys) == len(jobs)
         assert {job.backend["name"] for job in jobs} == {
-            "reference", "flatarray", "sharded",
+            "reference", "flatarray", "auto",
         }
 
     def test_algorithm_seed_is_backend_independent(self):
@@ -460,7 +460,7 @@ class TestBackendAxis:
         spec = tiny_spec(backend=self.BACKENDS)
         clone = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
-        assert clone.backend_names == ("reference", "flatarray", "sharded")
+        assert clone.backend_names == ("reference", "flatarray", "auto")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown simulation backends"):
@@ -468,7 +468,7 @@ class TestBackendAxis:
 
     def test_bad_backend_params_rejected_at_construction(self):
         with pytest.raises(ValueError, match="bad parameters"):
-            tiny_spec(backend={"name": "sharded", "params": {"shardz": 2}})
+            tiny_spec(backend={"name": "auto", "params": {"treshold": 2}})
 
     def test_sweep_crosses_backends_with_distinct_cached_rows(self, tmp_path):
         spec = tiny_spec(

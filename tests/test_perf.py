@@ -453,7 +453,11 @@ class TestAutoBackend:
         ) is FastCongestRun
         assert type(make_ledger_run("flatarray", small)) is FastCongestRun
         assert type(make_ledger_run("reference", small)) is CongestRun
-        assert type(make_ledger_run("sharded", small)) is CongestRun
+        assert type(
+            make_ledger_run(
+                {"name": "auto", "params": {"numpy_threshold": 4}}, small
+            )
+        ) is CongestRun
         with pytest.raises(ValueError):
             make_ledger_run("warpdrive", small)
         # Bad engine parameters are rejected exactly like the simulator
@@ -464,7 +468,7 @@ class TestAutoBackend:
             )
         with pytest.raises(ValueError):
             make_ledger_run(
-                {"name": "sharded", "params": {"num_shards": 0}}, small
+                {"name": "auto", "params": {"threshold": "many"}}, small
             )
 
     @requires_numpy

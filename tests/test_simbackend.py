@@ -5,16 +5,16 @@ import json
 import pytest
 
 from repro.congest.simulator import (
-    EchoBroadcast,
     FloodMaxLeaderElection,
     NodeProgram,
     Simulator,
 )
 from repro.exceptions import CongestViolationError, SimulationError
+from repro.netmodel import TraceRecorder
 from repro.simbackend import (
     BACKENDS,
+    AutoBackend,
     FlatArrayBackend,
-    ShardedBackend,
     SimulationBackend,
     build_backend,
     is_default_backend,
@@ -31,16 +31,16 @@ class TestSpecNormalization:
             "name": "flatarray", "params": {},
         }
         spec = normalize_backend(
-            {"name": "sharded", "params": {"num_shards": 2}}
+            {"name": "auto", "params": {"threshold": 2}}
         )
-        assert spec == {"name": "sharded", "params": {"num_shards": 2}}
+        assert spec == {"name": "auto", "params": {"threshold": 2}}
 
     def test_backend_instance_round_trips(self):
-        backend = ShardedBackend(num_shards=3)
+        backend = AutoBackend(threshold=3)
         spec = normalize_backend(backend)
         clone = build_backend(json.loads(json.dumps(spec)))
-        assert isinstance(clone, ShardedBackend)
-        assert clone.num_shards == 3
+        assert isinstance(clone, AutoBackend)
+        assert clone.threshold == 3
 
     def test_default_detection(self):
         assert is_default_backend(None)
@@ -56,7 +56,7 @@ class TestSpecNormalization:
         with pytest.raises(ValueError, match="unknown simulation backend"):
             build_backend("quantum")
         with pytest.raises(ValueError, match="bad parameters"):
-            build_backend({"name": "sharded", "params": {"nope": 1}})
+            build_backend({"name": "auto", "params": {"nope": 1}})
         with pytest.raises(TypeError):
             normalize_backend(42)
 
@@ -64,8 +64,8 @@ class TestSpecNormalization:
         # The numpy tier registers exactly when the optional extra is
         # importable (the registry's own gate — find_spec would call a
         # present-but-broken numpy "available"); the dependency-free
-        # registry stays four-strong.
-        expected = {"reference", "flatarray", "sharded", "auto"}
+        # registry stays three-strong.
+        expected = {"reference", "flatarray", "auto"}
         try:
             import numpy  # noqa: F401
         except ImportError:
@@ -80,10 +80,6 @@ class TestSpecNormalization:
     def test_instance_passes_through_build(self):
         backend = FlatArrayBackend()
         assert build_backend(backend) is backend
-
-    def test_sharded_rejects_bad_shard_count(self):
-        with pytest.raises(ValueError):
-            ShardedBackend(num_shards=0)
 
 
 class TestFacadeDelegation:
@@ -153,10 +149,48 @@ class TestFacadeDelegation:
         with pytest.raises(SimulationError, match="did not quiesce"):
             sim.run_to_completion(max_rounds=5)
 
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_manual_stepping_matches_run_to_completion(self, path5, backend):
+        stepped = {v: FloodMaxLeaderElection() for v in path5.nodes}
+        sim = Simulator(path5, stepped, backend=backend)
+        sim.start()
+        while sim.step():
+            pass
+        ran = {v: FloodMaxLeaderElection() for v in path5.nodes}
+        rounds = Simulator(path5, ran, backend=backend).run_to_completion()
+        assert sim.round == rounds
+        assert all(p.leader == 4 for p in stepped.values())
+        assert [p.leader for p in stepped.values()] == [
+            p.leader for p in ran.values()
+        ]
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_close_is_idempotent(self, tmp_path, path5, backend):
+        path = tmp_path / "trace.jsonl"
+        trace = TraceRecorder(path=path)
+        programs = {v: FloodMaxLeaderElection() for v in path5.nodes}
+        sim = Simulator(path5, programs, trace=trace, backend=backend)
+        sim.run_to_completion()
+        sim.close()
+        sim.close()
+        assert all(p.leader == 4 for p in programs.values())
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(trace.events) > 0
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_slots_program_state_reaches_caller_objects(self, path5, backend):
+        programs = {v: SlotFlood() for v in path5.nodes}
+        sim = Simulator(path5, programs, backend=backend)
+        sim.run_to_completion()
+        # Both the dict state (leader) and the slot state (seen_rounds)
+        # live on the objects the caller constructed.
+        assert all(p.leader == 4 for p in programs.values())
+        assert all(p.seen_rounds > 0 for p in programs.values())
+
 
 class SlotFlood(FloodMaxLeaderElection):
-    """Module-level (sharded programs must pickle by qualified name):
-    FloodMax with an extra ``__slots__``-declared counter."""
+    """FloodMax with an extra ``__slots__``-declared counter, so engines
+    are checked against program state that has no ``__dict__`` entry."""
 
     __slots__ = ("seen_rounds",)
 
@@ -167,93 +201,6 @@ class SlotFlood(FloodMaxLeaderElection):
     def on_round(self, ctx, inbox):
         self.seen_rounds += 1
         super().on_round(ctx, inbox)
-
-
-class TestShardedStateSync:
-    def test_final_program_state_reaches_caller_objects(self, grid33):
-        programs = {v: EchoBroadcast(0) for v in grid33.nodes}
-        sim = Simulator(
-            grid33, programs, backend=ShardedBackend(num_shards=3)
-        )
-        sim.run_to_completion()
-        # The worker-side executions were written back into the exact
-        # objects the caller constructed.
-        assert all(p.informed and p.done for p in programs.values())
-        assert programs[0].parent is None
-
-    def test_close_is_idempotent(self, path5):
-        programs = {v: FloodMaxLeaderElection() for v in path5.nodes}
-        sim = Simulator(path5, programs, backend="sharded")
-        sim.run_to_completion()
-        sim.close()
-        sim.close()
-        assert all(p.leader == 4 for p in programs.values())
-
-    def test_manual_stepping_syncs_on_quiescence(self, path5):
-        programs = {v: FloodMaxLeaderElection() for v in path5.nodes}
-        sim = Simulator(
-            path5, programs, backend=ShardedBackend(num_shards=2)
-        )
-        sim.start()
-        while sim.step():
-            pass
-        try:
-            assert all(p.leader == 4 for p in programs.values())
-        finally:
-            sim.close()
-
-    def test_unsyncable_program_state_fails_loudly(self, path5):
-        # A program that grows unpicklable state mid-run cannot be
-        # collected back from the workers; run_to_completion must raise
-        # rather than return a round count with stale caller-side state.
-        class Sticky(FloodMaxLeaderElection):
-            def on_round(self, ctx, inbox):
-                self.callback = lambda: None  # unpicklable
-                super().on_round(ctx, inbox)
-
-        programs = {v: Sticky() for v in path5.nodes}
-        sim = Simulator(
-            path5, programs, backend=ShardedBackend(num_shards=2)
-        )
-        with pytest.raises(Exception):
-            sim.run_to_completion()
-        # The worker pool was still torn down.
-        assert sim.backend._conns == [] and sim.backend._procs == []
-
-    def test_more_shards_than_nodes_clamped(self, triangle):
-        programs = {v: FloodMaxLeaderElection() for v in triangle.nodes}
-        sim = Simulator(
-            triangle, programs, backend=ShardedBackend(num_shards=16)
-        )
-        sim.run_to_completion()
-        assert all(p.leader == 2 for p in programs.values())
-
-    def test_slots_program_state_syncs_back(self, path5):
-        programs = {v: SlotFlood() for v in path5.nodes}
-        sim = Simulator(
-            path5, programs, backend=ShardedBackend(num_shards=2)
-        )
-        sim.run_to_completion()
-        # Both the dict state (leader) and the slot state (seen_rounds)
-        # reached the caller's objects.
-        assert all(p.leader == 4 for p in programs.values())
-        assert all(p.seen_rounds > 0 for p in programs.values())
-
-    def test_rebinding_reused_backend_closes_old_workers(self, path5, triangle):
-        backend = ShardedBackend(num_shards=2)
-        first = {v: FloodMaxLeaderElection() for v in path5.nodes}
-        sim1 = Simulator(path5, first, backend=backend)
-        sim1.start()
-        old_procs = list(backend._procs)
-        assert old_procs and all(p.is_alive() for p in old_procs)
-        # Reusing the instance rebinds it; the old pool must be torn
-        # down (and the first execution's partial state synced back).
-        second = {v: FloodMaxLeaderElection() for v in triangle.nodes}
-        sim2 = Simulator(triangle, second, backend=backend)
-        assert all(not p.is_alive() for p in old_procs)
-        assert all(p.leader is not None for p in first.values())
-        sim2.run_to_completion()
-        assert all(p.leader == 2 for p in second.values())
 
 
 class TestFlatArrayInternals:

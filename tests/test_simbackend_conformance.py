@@ -1,7 +1,7 @@
 """Cross-backend conformance: every engine computes the same execution.
 
 The reference engine is the regression-pinned semantic baseline; this
-suite proves the ``flatarray``, ``sharded``, and (when the optional
+suite proves the ``flatarray``, ``auto``, and (when the optional
 extra is installed) ``numpy`` engines reproduce it *exactly* — rounds,
 ledger traffic (messages and per-edge counters), network-model
 statistics, trace event streams, and final program states — across the
@@ -24,7 +24,7 @@ from repro.congest.simulator import (
 )
 from repro.engine.registry import GRAPH_FAMILIES
 from repro.netmodel import TraceRecorder
-from repro.simbackend import AutoBackend, ShardedBackend, numpy_tier_available
+from repro.simbackend import AutoBackend, numpy_tier_available
 
 requires_numpy = pytest.mark.skipif(
     not numpy_tier_available(),
@@ -34,24 +34,25 @@ requires_numpy = pytest.mark.skipif(
 #: The non-reference engines every matrix case runs against.
 MATRIX_BACKENDS = [
     "flatarray",
-    "sharded",
     "auto",
     pytest.param("numpy", marks=requires_numpy),
+    pytest.param("auto-numpy", marks=requires_numpy),
 ]
 
 
 def _engine_for(backend):
     """Instantiate the matrix engines that need construction parameters.
 
-    ``auto`` is forced to its flat-array choice (threshold=1): at these
+    ``auto`` is forced to its flat-array choice (threshold=1) and
+    ``auto-numpy`` to its numpy choice (both thresholds 1): at these
     graph sizes the default heuristic would pick reference and the case
     would only re-test the baseline against itself. The default-choice
     path is covered by tests/test_perf.py.
     """
-    if backend == "sharded":
-        return ShardedBackend(num_shards=2)
     if backend == "auto":
         return AutoBackend(threshold=1)
+    if backend == "auto-numpy":
+        return AutoBackend(threshold=1, numpy_threshold=1)
     return backend
 
 #: Small instances of representative graph families: the four seed

@@ -586,10 +586,10 @@ class TestCli:
         assert exported and all(e["event"] == "phase" for e in exported)
 
     def _bench_file(self, tmp_path, rounds_delta=0):
-        from repro.telemetry.benchcheck import _measure_pipeline
+        from repro.telemetry.benchcheck import measure_pipeline
 
         workload = {"algorithm": "distributed", "k": 3, "p": 0.35}
-        measured = _measure_pipeline(workload, 24, "reference")
+        measured, _ = measure_pipeline(workload, 24, "reference")
         path = tmp_path / "BENCH_small.json"
         path.write_text(
             json.dumps(
@@ -647,10 +647,10 @@ class TestCli:
         return path
 
     def test_bench_check_e22_driver_passes(self, tmp_path, capsys):
-        from repro.telemetry.benchcheck import _measure_primitives
+        from repro.telemetry.benchcheck import measure_primitives
 
         workload = {"degree": 4, "num_sources": 2, "num_items": 4}
-        measured = _measure_primitives(workload, 16, "reference")
+        measured, _ = measure_primitives(workload, 16, "reference")
         path = self._numpy_bench_file(
             tmp_path,
             [
