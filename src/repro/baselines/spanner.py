@@ -9,8 +9,8 @@ With k = log n the stretch is O(log n) and, combined with the centralized
 (Lemma G.15 / Theorem 5.2 use exactly this interface on the F-reduced
 instance, whose t̂ ≤ √n terminals give Õ(√n + D) rounds).
 
-Implementation: the terminal metric comes from the graph's all-pairs
-distances (what the distributed construction provides each node with); the
+Implementation: the terminal metric comes from the terminals' distance rows
+(what the distributed construction provides each node with); the
 greedy path-spanner is built on the terminal set, solved with
 :func:`repro.core.moat.moat_growing`, and the selected spanner edges are
 mapped back to least-weight paths in the graph. Communication is charged as
@@ -127,7 +127,7 @@ def spanner_steiner_forest(
             ForestSolution(graph, []), run, frozenset(), stretch
         )
 
-    metric = graph.all_pairs_distances()
+    metric = graph.all_pairs_distances(terminals)
     spanner = greedy_spanner(terminals, metric, stretch)
 
     # Charge the distributed construction: Õ(√n + t) for the metric /

@@ -13,6 +13,7 @@ a relevant least-weight path — the quantity ``s`` bounds — so the measured
 round count is exactly the paper's cost for these steps.
 """
 
+import math
 from fractions import Fraction
 from typing import (
     AbstractSet,
@@ -92,7 +93,9 @@ def bellman_ford(
     Returns a :class:`BellmanFordResult`.
 
     Every ledger runs this one path on ``graph``'s cached topology, with
-    each tag's ``repr`` computed once per source. On its own graph, a
+    each tag's ``repr`` computed once per source, and the graph's own
+    weights relax as ints (everything scaled to the start distances'
+    common denominator). On its own graph, a
     :class:`~repro.perf.npkernels.NumpyCongestRun` runs the relaxation
     as scaled-int64 array kernels instead when the workload scales
     exactly. Distances, tags, parents, iterations, and the ledger end
@@ -108,15 +111,22 @@ def bellman_ford(
         )
         if result is not None:
             return result
-    if edge_weight is None:
-        edge_weight = graph.weight
+    # The graph's own weights relax as ints on the start distances'
+    # common grid; a custom weight keeps its own arithmetic (grid 1).
+    denom = 1 if edge_weight else math.lcm(
+        *(Fraction(d0).denominator for d0, _ in sources.values())
+    )
+    weight = edge_weight or (
+        graph.weight if denom == 1 else lambda u, v: graph.weight(u, v) * denom
+    )
 
-    dist: Dict[Node, Number] = {}
+    dist: Dict[Node, Number] = {}  # scaled by denom
     tag: Dict[Node, Tag] = {}
     parent: Dict[Node, Optional[Node]] = {}
     tag_repr: Dict[Node, str] = {}  # repr(tag[v]), carried along with tag[v]
     for v, (d0, source_tag) in sources.items():
-        dist[v] = Fraction(d0)
+        start = Fraction(d0) * denom
+        dist[v] = start.numerator if start.denominator == 1 else start
         tag[v] = source_tag
         parent[v] = None
         tag_repr[v] = repr(source_tag)
@@ -131,7 +141,7 @@ def bellman_ford(
     iterations = 0
     while changed:
         if max_iterations is not None and iterations >= max_iterations:
-            return BellmanFordResult(dist, tag, parent, iterations, False)
+            break
         iterations += 1
         announcers = sorted(changed, key=reprs.__getitem__)
         updates: Dict[Node, Tuple[Number, str, str, Tag, Node]] = {}
@@ -140,7 +150,7 @@ def bellman_ford(
             for v in graph.neighbors(u):
                 if v in blocked or v in immutable:
                     continue
-                cand_dist = du + edge_weight(u, v)
+                cand_dist = du + weight(u, v)
                 current = updates.get(v)
                 if current is None or (cand_dist, tu_repr, u_repr) < current[:3]:
                     updates[v] = (cand_dist, tu_repr, u_repr, tu, u)
@@ -160,4 +170,7 @@ def bellman_ford(
             tag_repr[v] = cand_tag_repr
             parent[v] = new_parent
             changed.add(v)
-    return BellmanFordResult(dist, tag, parent, iterations, True)
+    for v, d in dist.items():  # scaled ints back to exact Fractions
+        if isinstance(d, int):
+            dist[v] = Fraction(d, denom)
+    return BellmanFordResult(dist, tag, parent, iterations, not changed)

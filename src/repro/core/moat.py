@@ -163,7 +163,8 @@ class _MoatSystem:
             self.active[v] = len(components[instance.label(v)]) >= 2
         self.forest_uf = UnionFind(self.graph.nodes)
         self.forest_edges: Set[Edge] = set()
-        self._dist = self.graph.all_pairs_distances()
+        # next_event reads terminal pairs only: |T| rows, not n.
+        self._dist = self.graph.all_pairs_distances(self.terminals)
 
     # -- state queries --------------------------------------------------
 
@@ -291,10 +292,10 @@ def moat_growing(
         instance: the DSF-IC instance.
         profiler: optional :class:`repro.perf.PhaseProfiler`; the
             centralized algorithm has no CONGEST ledger, so its phases
-            are wall-time spans — the all-pairs preprocessing, the
+            are wall-time spans — the terminal distance rows, the
             grow/merge event loop, and the minimal-subforest extraction.
     """
-    with maybe_span(profiler, "moat/apsp-setup"):
+    with maybe_span(profiler, "moat/terminal-rows"):
         system = _MoatSystem(instance)
     events: List[MergeEvent] = []
     index = 0

@@ -38,8 +38,8 @@ def rounded_moat_growing(
         epsilon: the rounding parameter ε > 0 (growth phases multiply the
             radius threshold by 1 + ε/2).
         profiler: optional :class:`repro.perf.PhaseProfiler`; like
-            Algorithm 1, the phases are wall-time spans (all-pairs
-            preprocessing, the checkpointed event loop, the
+            Algorithm 1, the phases are wall-time spans (the terminal
+            distance rows, the checkpointed event loop, the
             minimal-subforest extraction).
 
     Returns a :class:`~repro.core.moat.MoatGrowingResult`; checkpoint steps
@@ -55,7 +55,7 @@ def rounded_moat_growing(
         raise ValueError("epsilon must be positive")
     growth_factor = 1 + eps / 2
 
-    with maybe_span(profiler, "rounded/apsp-setup"):
+    with maybe_span(profiler, "rounded/terminal-rows"):
         system = _MoatSystem(instance)
     events: List[MergeEvent] = []
     index = 0

@@ -410,9 +410,13 @@ class WeightedGraph:
         """Total weight of a node path."""
         return sum(self._adj[a][b] for a, b in zip(path, path[1:]))
 
-    def all_pairs_distances(self) -> Dict[Node, Dict[Node, int]]:
-        """All-pairs weighted distances: source → its cached distance row."""
-        return {v: self._sssp(v)[0] for v in self._nodes}
+    def all_pairs_distances(
+        self, sources: Optional[Iterable[Node]] = None
+    ) -> Dict[Node, Dict[Node, int]]:
+        """Source → its cached distance row, for ``sources`` (default:
+        every node); only the requested rows are computed."""
+        rows = self._nodes if sources is None else sources
+        return {v: self._sssp(v)[0] for v in rows}
 
     def min_hop_shortest_path_hops(self, source: Node) -> Dict[Node, int]:
         """For each node, the min hop count among least-weight paths from

@@ -33,6 +33,7 @@ from repro.congest.bellman_ford import bellman_ford
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.run import CongestRun
 from repro.model.graph import Node, WeightedGraph
+from repro.randomized.le_lists import ancestor_from_le_list, le_list_of_row
 
 #: Denominator resolution for the random β ∈ [1, 2] (exact Fraction).
 _BETA_RESOLUTION = 1 << 16
@@ -118,9 +119,10 @@ def build_embedding(
             ``truncate_at`` highest-rank nodes (use √n for the s > √n
             regime); None builds the full tree.
 
-    The ancestor sets are computed from the all-pairs distances (the local
-    knowledge the LE-list construction of [14] provides each node with);
-    the communication cost is charged from real simulator executions: one
+    A_i(v) is the last entry within ⌊β·2^i⌋ (exact: distances are ints)
+    of v's LE list, built from its distance row — the local knowledge
+    the LE-list construction of [14] provides each node with. The
+    communication cost is charged from real simulator executions: one
     hop-capped multi-source Bellman–Ford per level sweep.
     """
     nodes = list(graph.nodes)
@@ -152,15 +154,15 @@ def build_embedding(
             nearest_s[v] = voronoi.tag.get(v)
 
     apd = graph.all_pairs_distances()
+    radii = [(beta.numerator << i) // beta.denominator for i in range(levels)]
     ancestors: Dict[Node, List[Node]] = {}
     truncation_level: Dict[Node, int] = {}
     for v in nodes:
+        le_list = le_list_of_row(apd[v], rank)
         chain: List[Node] = []
         cutoff = levels
-        for i in range(levels):
-            radius = beta * (1 << i)
-            candidates = [u for u in nodes if apd[v][u] <= radius]
-            best = max(candidates, key=lambda u: rank[u])
+        for i, radius in enumerate(radii):
+            best = ancestor_from_le_list(le_list, radius)
             if s_nodes and best in s_nodes:
                 cutoff = i
                 break

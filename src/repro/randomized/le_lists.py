@@ -11,11 +11,11 @@ distance β·2^i, which is an LE-list entry; Khan et al. compute the lists
 distributively in O(s·log n) rounds w.h.p. and show |LE(v)| ∈ O(log n)
 w.h.p., which is also why only O(log n) embedding paths cross any node.
 
-This module computes LE lists both centrally (reference) and via a
-round-counted distributed emulation (Bellman–Ford-style relaxations where
-a node forwards only entries that survive its own list — the standard
-algorithm), and exposes the ancestor lookup used by
-:mod:`repro.randomized.embedding`.
+This module computes LE lists both centrally, from one distance row
+(the lists :mod:`repro.randomized.embedding` reads its ancestors off),
+and via a round-counted distributed emulation (Bellman–Ford-style
+relaxations where a node forwards only entries that survive its own
+list — the standard algorithm).
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -24,21 +24,26 @@ from repro.congest.run import CongestRun
 from repro.model.graph import Node, WeightedGraph
 
 
-def le_list_reference(
-    graph: WeightedGraph, rank: Dict[Node, int], v: Node
+def le_list_of_row(
+    row: Dict[Node, int], rank: Dict[Node, int]
 ) -> List[Tuple[int, Node]]:
-    """LE(v) computed from all-pairs distances (the specification)."""
-    apd = graph.all_pairs_distances()
-    ordered = sorted(
-        graph.nodes, key=lambda u: (apd[v][u], -rank[u], repr(u))
-    )
+    """The LE list of the node whose distance row is ``row``: the
+    record-rank nodes in (distance, −rank, repr) order."""
+    ordered = sorted(row, key=lambda u: (row[u], -rank[u], repr(u)))
     result: List[Tuple[int, Node]] = []
     best_rank = -1
     for u in ordered:
         if rank[u] > best_rank:
             best_rank = rank[u]
-            result.append((apd[v][u], u))
+            result.append((row[u], u))
     return result
+
+
+def le_list_reference(
+    graph: WeightedGraph, rank: Dict[Node, int], v: Node
+) -> List[Tuple[int, Node]]:
+    """LE(v) computed from v's distance row (the specification)."""
+    return le_list_of_row(graph.all_pairs_distances([v])[v], rank)
 
 
 def distributed_le_lists(
@@ -60,17 +65,7 @@ def distributed_le_lists(
     }
 
     def prune(v: Node) -> None:
-        entries = sorted(
-            lists[v].items(),
-            key=lambda kv: (kv[1], -rank[kv[0]], repr(kv[0])),
-        )
-        best_rank = -1
-        kept: Dict[Node, int] = {}
-        for u, d in entries:
-            if rank[u] > best_rank:
-                best_rank = rank[u]
-                kept[u] = d
-        lists[v] = kept
+        lists[v] = {u: d for d, u in le_list_of_row(lists[v], rank)}
 
     changed = {v: dict(lists[v]) for v in graph.nodes}
     while any(changed.values()):

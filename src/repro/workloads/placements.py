@@ -66,13 +66,13 @@ def place_clustered(
     merge almost immediately (small-moat regime; fast k-driven bounds).
     """
     check_placement_request(graph, k, component_size)
-    dist = graph.all_pairs_distances()
     unused = list(graph.nodes)
     components = []
     for _ in range(k):
         seed = unused.pop(rng.randrange(len(unused)))
         members = [seed]
-        for v in _nearest(dist[seed], unused, component_size - 1):
+        dist = graph.all_pairs_distances([seed])[seed]
+        for v in _nearest(dist, unused, component_size - 1):
             unused.remove(v)
             members.append(v)
         components.append(members)
@@ -90,21 +90,17 @@ def place_far_pairs(
     worst case for growth-phase counts and WD-driven terms.
     """
     check_placement_request(graph, k, component_size)
-    dist = graph.all_pairs_distances()
     unused = list(graph.nodes)
     components = []
     for _ in range(k):
         anchor = unused.pop(rng.randrange(len(unused)))
         members = [anchor]
+        dist = graph.all_pairs_distances([anchor])[anchor]
         if component_size >= 2:
-            partner = max(
-                unused, key=lambda v: (dist[anchor][v], repr(v))
-            )
+            partner = max(unused, key=lambda v: (dist[v], repr(v)))
             unused.remove(partner)
             members.append(partner)
-        for v in _nearest(
-            dist[anchor], unused, component_size - len(members)
-        ):
+        for v in _nearest(dist, unused, component_size - len(members)):
             unused.remove(v)
             members.append(v)
         components.append(members)
@@ -123,9 +119,9 @@ def place_hub_spoke(
     on a cut.
     """
     check_placement_request(graph, k, component_size)
-    dist = graph.all_pairs_distances()
     hub = max(graph.nodes, key=lambda v: (graph.degree(v), repr(v)))
-    cores = _nearest(dist[hub], list(graph.nodes), k)
+    dist = graph.all_pairs_distances([hub])[hub]
+    cores = _nearest(dist, list(graph.nodes), k)
     spokes = [v for v in graph.nodes if v not in set(cores)]
     rng.shuffle(spokes)
     components, index = [], 0

@@ -1,0 +1,308 @@
+"""The solvers' narrow oracle reads against the full-read references.
+
+Moat growing reads terminal distance rows only, the embedding reads each
+level ancestor off the node's LE list, and the Python Bellman–Ford
+relaxes the graph's weights as scaled ints. The references below are the
+straightforward versions they replaced: an event search over the
+all-pairs distances, a scan of every node per (node, level) pair against
+a ``Fraction`` radius, and a Bellman–Ford in ``Fraction`` arithmetic.
+Each must agree exactly, including dict order and value types, on
+tie-heavy graphs (unit-weight torus and ring, equal-weight gnp) with int,
+str and mixed-type nodes.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import networkx as nx
+import pytest
+
+from repro.baselines.spanner import spanner_steiner_forest
+from repro.congest import CongestRun
+from repro.congest.bellman_ford import bellman_ford
+from repro.core.moat import _MoatSystem, moat_growing
+from repro.core.rounded import rounded_moat_growing
+from repro.model.graph import WeightedGraph
+from repro.model.instance import instance_from_components
+from repro.perf import FastCongestRun
+from repro.randomized.embedding import build_embedding
+from repro.workloads.placements import TERMINAL_PLACEMENTS
+
+KINDS = ["int", "str", "mixed"]
+
+
+def _name(i, kind):
+    if kind == "int":
+        return i
+    if kind == "str":
+        return f"v{i}"
+    return i if i % 2 else f"v{i}"
+
+
+def tie_graph(family, kind, seed=0):
+    """A tie-heavy connected graph: every edge has the same weight."""
+    if family == "torus":
+        g = nx.convert_node_labels_to_integers(
+            nx.grid_2d_graph(4, 5, periodic=True)
+        )
+    elif family == "ring":
+        g = nx.cycle_graph(14)
+    else:
+        g = nx.gnp_random_graph(16, 0.3, seed=seed)
+        g = nx.compose(g, nx.path_graph(16))
+    weight = 3 if family == "gnp" else 1
+    return WeightedGraph(
+        [_name(i, kind) for i in g.nodes],
+        [(_name(u, kind), _name(v, kind), weight) for u, v in g.edges],
+    )
+
+
+GRAPHS = [(family, kind) for family in ("torus", "ring", "gnp") for kind in KINDS]
+
+
+def _tie_instance(graph, seed):
+    nodes = list(graph.nodes)
+    random.Random(seed).shuffle(nodes)
+    return instance_from_components(graph, [nodes[0:3], nodes[3:5], nodes[5:7]])
+
+
+# ---------------------------------------------------------------------
+# Moat events against the all-pairs event search
+# ---------------------------------------------------------------------
+
+
+def reference_next_event(system, apd):
+    """The minimal (µ, v, w), read from the all-pairs distances."""
+    best = None
+    for i, v in enumerate(system.terminals):
+        for w in system.terminals[i + 1:]:
+            rv, rw = system.rep(v), system.rep(w)
+            if rv == rw:
+                continue
+            act_v, act_w = system.active[rv], system.active[rw]
+            if not act_v and not act_w:
+                continue
+            gap = Fraction(apd[v][w]) - system.rad[v] - system.rad[w]
+            mu = gap / 2 if act_v and act_w else gap
+            a, b = (v, w) if act_v else (w, v)
+            key = (mu, repr(a), repr(b), a, b)
+            if best is None or key[:3] < best[:3]:
+                best = key
+    if best is None:
+        return None
+    return best[0], best[3], best[4]
+
+
+def _events(result):
+    return [(e.mu, e.v, e.w, e.path) for e in result.events]
+
+
+@pytest.mark.parametrize("solve", [moat_growing, rounded_moat_growing])
+@pytest.mark.parametrize("family,kind", GRAPHS)
+@pytest.mark.parametrize("seed", range(3))
+def test_moat_events_match_all_pairs_reference(
+    monkeypatch, solve, family, kind, seed
+):
+    got = solve(_tie_instance(tie_graph(family, kind, seed), seed))
+    monkeypatch.setattr(
+        _MoatSystem,
+        "next_event",
+        lambda self: reference_next_event(
+            self, self.graph.all_pairs_distances()
+        ),
+    )
+    # A fresh graph, so the reference shares no cached row with the run.
+    want = solve(_tie_instance(tie_graph(family, kind, seed), seed))
+    assert _events(got) == _events(want)
+    assert got.solution.edges == want.solution.edges
+
+
+# ---------------------------------------------------------------------
+# Embedding ancestors against the scan of every node
+# ---------------------------------------------------------------------
+
+
+def reference_ancestors(graph, rank, beta, levels, s_nodes):
+    """(ancestors, truncation level) by scanning every node per level."""
+    apd = graph.all_pairs_distances()
+    nodes = list(graph.nodes)
+    ancestors, truncation = {}, {}
+    for v in nodes:
+        chain, cutoff = [], levels
+        for i in range(levels):
+            radius = beta * (1 << i)
+            candidates = [u for u in nodes if apd[v][u] <= radius]
+            best = max(candidates, key=lambda u: rank[u])
+            if s_nodes and best in s_nodes:
+                cutoff = i
+                break
+            chain.append(best)
+        ancestors[v] = chain
+        truncation[v] = cutoff
+    return ancestors, truncation
+
+
+class _FixedBeta(random.Random):
+    """Draws β from one fixed offset (shuffle does not use randrange)."""
+
+    def __init__(self, seed, offset):
+        super().__init__(seed)
+        self.offset = offset
+
+    def randrange(self, *args):
+        return self.offset
+
+
+@pytest.mark.parametrize("family,kind", GRAPHS)
+@pytest.mark.parametrize("truncated", [False, True])
+@pytest.mark.parametrize("beta_offset", [None, 0, (1 << 15), (1 << 16) - 1])
+def test_embedding_matches_scan_reference(family, kind, truncated, beta_offset):
+    for seed in range(3):
+        graph = tie_graph(family, kind, seed)
+        rng = (
+            random.Random(seed) if beta_offset is None
+            else _FixedBeta(seed, beta_offset)
+        )
+        truncate_at = math.isqrt(graph.num_nodes) if truncated else None
+        emb = build_embedding(graph, CongestRun(graph), rng, truncate_at)
+        ancestors, truncation = reference_ancestors(
+            graph, emb.rank, emb.beta, emb.levels, emb.s_nodes
+        )
+        assert emb.ancestors == ancestors
+        assert emb.truncation_level == truncation
+
+
+# ---------------------------------------------------------------------
+# Bellman–Ford against Fraction arithmetic
+# ---------------------------------------------------------------------
+
+
+def reference_bellman_ford(
+    graph, sources, run, edge_weight=None, blocked=None, max_iterations=None
+):
+    """(dist, tag, parent, iterations, stabilized), relaxing Fractions."""
+    blocked = blocked or frozenset()
+    edge_weight = edge_weight or graph.weight
+    dist, tag, parent = {}, {}, {}
+    for v, (d0, source_tag) in sources.items():
+        dist[v] = Fraction(d0)
+        tag[v] = source_tag
+        parent[v] = None
+    immutable = frozenset(sources)
+    changed = set(sources)
+    iterations = 0
+    while changed:
+        if max_iterations is not None and iterations >= max_iterations:
+            return dist, tag, parent, iterations, False
+        iterations += 1
+        announcers = sorted(changed, key=repr)
+        updates = {}
+        for u in announcers:
+            for v in graph.neighbors(u):
+                if v in blocked or v in immutable:
+                    continue
+                cand = (dist[u] + edge_weight(u, v), repr(tag[u]), repr(u))
+                if v not in updates or cand < updates[v][:3]:
+                    updates[v] = cand + (tag[u], u)
+        run.tick_neighbors(graph, announcers)
+        changed = set()
+        for v, (d, tag_repr, _, new_tag, new_parent) in updates.items():
+            if v in dist and (d, tag_repr) >= (dist[v], repr(tag[v])):
+                continue
+            dist[v], tag[v], parent[v] = d, new_tag, new_parent
+            changed.add(v)
+    return dist, tag, parent, iterations, True
+
+
+def _ledger(run):
+    return (
+        run.rounds,
+        run.messages,
+        sorted(run.edge_messages.items(), key=repr),
+        dict(run.phase_rounds),
+    )
+
+
+def _sources(graph, fractional):
+    nodes = list(graph.nodes)
+    starts = (
+        [Fraction(1, 3), Fraction(5, 2), 0]
+        if fractional else [0, 0, 0]
+    )
+    picks = [nodes[0], nodes[len(nodes) // 2], nodes[-1]]
+    return {v: (d0, tag) for v, d0, tag in zip(picks, starts, ["b", "a", "b"])}
+
+
+@pytest.mark.parametrize("ledger", [CongestRun, FastCongestRun])
+@pytest.mark.parametrize("family,kind", GRAPHS)
+@pytest.mark.parametrize("fractional", [False, True])
+@pytest.mark.parametrize("max_iterations", [None, 0, 2])
+@pytest.mark.parametrize("custom", [False, True])
+def test_bellman_ford_matches_fraction_reference(
+    ledger, family, kind, fractional, max_iterations, custom
+):
+    graph = tie_graph(family, kind)
+    sources = _sources(graph, fractional)
+    blocked = {list(graph.nodes)[3]}
+    kwargs = {"blocked": blocked, "max_iterations": max_iterations}
+    if custom:
+        kwargs["edge_weight"] = lambda u, v: Fraction(graph.weight(u, v), 2)
+    ref_run, run = ledger(graph), ledger(graph)
+    dist, tag, parent, iterations, stabilized = reference_bellman_ford(
+        graph, sources, ref_run, **kwargs
+    )
+    got = bellman_ford(graph, sources, run, **kwargs)
+    assert list(got.dist.items()) == list(dist.items())
+    assert all(type(d) is Fraction for d in got.dist.values())
+    assert list(got.tag.items()) == list(tag.items())
+    assert list(got.parent.items()) == list(parent.items())
+    assert (got.iterations, got.stabilized) == (iterations, stabilized)
+    assert _ledger(run) == _ledger(ref_run)
+
+
+# ---------------------------------------------------------------------
+# Row counts: the solvers pay one shortest-path tree per terminal
+# ---------------------------------------------------------------------
+
+
+@pytest.fixture
+def computed_trees(monkeypatch):
+    """(graph, source) of every shortest-path tree the oracle computes."""
+    trees = []
+    original = WeightedGraph._sssp
+
+    def counting(self, source):
+        if source not in self._sssp_cache:
+            trees.append((self, source))
+        return original(self, source)
+
+    monkeypatch.setattr(WeightedGraph, "_sssp", counting)
+    return trees
+
+
+def _n64_instance():
+    g = nx.gnp_random_graph(64, 0.08, seed=7)
+    g = nx.compose(g, nx.path_graph(64))
+    rng = random.Random(7)
+    graph = WeightedGraph(
+        g.nodes, [(u, v, rng.randint(1, 9)) for u, v in g.edges]
+    )
+    return _tie_instance(graph, 7)
+
+
+@pytest.mark.parametrize(
+    "solve", [moat_growing, rounded_moat_growing, spanner_steiner_forest]
+)
+def test_solvers_compute_one_tree_per_terminal(computed_trees, solve):
+    instance = _n64_instance()
+    solve(instance)
+    sources = [s for g, s in computed_trees if g is instance.graph]
+    assert sorted(sources, key=repr) == sorted(instance.terminals, key=repr)
+
+
+@pytest.mark.parametrize("placement", ["clustered", "far_pairs", "hub_spoke"])
+def test_placements_compute_one_tree_per_component(computed_trees, placement):
+    graph = _n64_instance().graph
+    TERMINAL_PLACEMENTS[placement].place(graph, 3, 2, random.Random(1))
+    assert len(computed_trees) == (1 if placement == "hub_spoke" else 3)
