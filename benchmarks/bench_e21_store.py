@@ -7,7 +7,9 @@ that was a full-file JSONL parse per reader; the sidecar index
 seek-read. This benchmark pins the win: the same deterministic lookup
 mix (:mod:`repro.engine.storebench`) against the same synthetic store
 at 10^3 / 10^4 / 10^5 rows, once through pure scans and once through
-the index.
+the index. A third ``scenario`` row times the read a sweep makes per
+scenario (``run_spec``): one key-only ``select`` of all the keys on a
+fresh store.
 
 Committed as ``BENCH_store.json`` and re-measured by ``repro bench
 check`` (the ``e21-store`` driver): ``rows`` / ``lookups`` are exact
@@ -58,7 +60,7 @@ def measure_all():
     with tempfile.TemporaryDirectory(prefix="repro-e21-") as tmp:
         for rows in SIZES:
             path = Path(tmp) / f"store-{rows}.jsonl"
-            build_store(path, rows)  # one store, both modes measure it
+            build_store(path, rows)  # one store, every mode measures it
             for mode in STORE_MODES:
                 entries.append(
                     measure_mode(rows, mode, lookups=LOOKUPS, path=path)

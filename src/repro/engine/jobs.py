@@ -17,6 +17,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterator, List, Mapping, Tuple
 
 from repro.engine.registry import PLACEMENT_KEYS, ScenarioSpec
@@ -167,9 +168,14 @@ class Job:
             "seed_index": self.seed_index,
         }
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Content-hash cache key for the result store."""
+        """Content-hash cache key for the result store.
+
+        Hashed once per instance: a ``Job`` is frozen, so its identity
+        cannot change after construction (``dataclasses.replace`` builds
+        a new instance with its own key).
+        """
         return content_hash(self.identity())
 
     def graph_seed(self) -> int:

@@ -381,8 +381,15 @@ def run_spec(
     if store is not None and telemetry is not None:
         # Store-level lookup/index counters land on the sweep's registry.
         store.bind_metrics(telemetry.metrics)
-    cached_keys = store.keys() if store is not None else set()
-    pending = [job for job in jobs if job.key not in cached_keys]
+    # One key-only read answers both "which jobs hit" and "what did they
+    # store": the index probes just this scenario's keys, so a warm
+    # sweep costs the scenario's size, not the store's.
+    by_key: Dict[str, Dict[str, Any]] = {}
+    if store is not None:
+        for record in store.select(keys=[job.key for job in jobs]):
+            by_key.setdefault(record["key"], record)
+    rows_read = len(by_key)
+    pending = [job for job in jobs if job.key not in by_key]
     hits = len(jobs) - len(pending)
     tele, owned = _open_telemetry(telemetry, log, {"scenario": spec.name})
     if tele is not None and not owned and log is not None:
@@ -402,7 +409,7 @@ def run_spec(
             tele.counter("engine.cache.hit").inc(hits)
             tele.counter("engine.cache.miss").inc(len(pending))
             for job in jobs:
-                if job.key in cached_keys:
+                if job.key in by_key:
                     _job_event(tele, "cached", job, total=len(jobs))
         fresh = _run_jobs(
             pending,
@@ -417,15 +424,10 @@ def run_spec(
             if tele is not None:
                 tele.counter("engine.store.rows_written").inc(len(fresh))
 
-        by_key = {record["key"]: record for record in fresh}
-        if store is not None:
-            hit_keys = {job.key for job in jobs} & cached_keys
-            rows_read = 0
-            for record in store.select(keys=hit_keys):
-                by_key.setdefault(record["key"], record)
-                rows_read += 1
-            if tele is not None and rows_read:
-                tele.counter("engine.store.rows_read").inc(rows_read)
+        # Fresh records take precedence over cached rows.
+        by_key.update((record["key"], record) for record in fresh)
+        if tele is not None and rows_read:
+            tele.counter("engine.store.rows_read").inc(rows_read)
         records = [by_key[job.key] for job in jobs if job.key in by_key]
         if tele is not None:
             tele.emit(

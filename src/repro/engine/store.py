@@ -1,10 +1,11 @@
 """Append-only JSONL result store with content-hash caching.
 
 One line per job record. The ``key`` field is the job's content hash
-(:attr:`repro.engine.jobs.Job.key`); the runner consults :meth:`keys`
-before executing, so re-running an unchanged spec touches the store
-only to read. JSONL keeps the store greppable, mergeable
-(concatenation), and safely appendable without rewriting history.
+(:attr:`repro.engine.jobs.Job.key`); before executing, the runner makes
+one key-only :meth:`select` of the scenario's keys, so re-running an
+unchanged spec touches the store only to read, and only its own rows.
+JSONL keeps the store greppable, mergeable (concatenation), and safely
+appendable without rewriting history.
 
 Two companions keep the flat file honest at scale:
 
@@ -147,7 +148,13 @@ class ResultStore:
         return complete_region_end(self.path)
 
     def keys(self) -> Set[str]:
-        """The cache keys of every stored record."""
+        """The cache keys of every stored record.
+
+        This reads the whole index (or file), so its cost grows with
+        the store. It is for callers that need the full set, such as
+        an inventory of a store. To test a few keys, use a key-only
+        :meth:`select`, as the runner does.
+        """
         index = self._idx()
         if index is not None:
             return index.keys()
@@ -176,6 +183,9 @@ class ResultStore:
         self, spans: List[Tuple[int, int]]
     ) -> List[Dict[str, Any]]:
         """Seek-read rows at ``(offset, length)`` spans (file order)."""
+        if not spans:
+            # Nothing to read, and the file may not exist yet.
+            return []
         out = []
         with self.path.open("rb") as handle:
             for offset, length in spans:

@@ -22,8 +22,8 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.engine.store import SCHEMA_VERSION, ResultStore
 
-#: The two lookup modes an entry's ``backend`` column names.
-STORE_MODES = ("scan", "indexed")
+#: The lookup modes an entry's ``backend`` column names.
+STORE_MODES = ("scan", "indexed", "scenario")
 
 #: Default lookups timed per entry (the gate passes it via workload).
 DEFAULT_LOOKUPS = 16
@@ -100,7 +100,7 @@ def measure_mode(
     path: Optional[Path] = None,
 ) -> Dict[str, Any]:
     """One BENCH_store entry: ``lookups`` key fetches against a
-    ``rows``-row store in ``mode`` (``scan`` or ``indexed``).
+    ``rows``-row store in ``mode`` (one of :data:`STORE_MODES`).
 
     ``scan`` opens the store with the index disabled: every lookup is
     the linear parse-until-found the store historically paid.
@@ -109,7 +109,9 @@ def measure_mode(
     process) and then times pure index probes + seek-reads. Each
     lookup constructs a fresh :class:`ResultStore` so no in-process
     state carries over — the timed work is exactly what a new reader
-    pays.
+    pays. ``scenario`` builds the sidecar the same way, then times the
+    one read ``run_spec`` makes per scenario: a single key-only
+    ``select`` of all ``lookups`` keys on a fresh store.
     """
     if mode not in STORE_MODES:
         raise ValueError(f"unknown store mode {mode!r}; one of {STORE_MODES}")
@@ -125,17 +127,23 @@ def measure_mode(
             for index in lookup_indices(rows, lookups, seed)
         ]
         build_seconds = 0.0
-        if mode == "indexed":
+        if mode != "scan":
             started = time.perf_counter()
             ResultStore(path).refresh()  # build/sync the sidecar once
             build_seconds = time.perf_counter() - started
         found = 0
         started = time.perf_counter()
-        for key in keys:
-            store = ResultStore(path, index=(mode == "indexed"))
-            record = store.lookup(key)
-            if record is not None and record["key"] == key:
-                found += 1
+        if mode == "scenario":
+            hits = {
+                record["key"] for record in ResultStore(path).select(keys=keys)
+            }
+            found = sum(key in hits for key in keys)
+        else:
+            for key in keys:
+                store = ResultStore(path, index=(mode == "indexed"))
+                record = store.lookup(key)
+                if record is not None and record["key"] == key:
+                    found += 1
         seconds = time.perf_counter() - started
         return {
             "backend": mode,

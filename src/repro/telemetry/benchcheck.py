@@ -234,9 +234,9 @@ def _measure_store(
 ) -> Tuple[Dict[str, Any], None]:
     """One BENCH_store-style entry, re-measured (same synthetic store
     and lookup mix as ``benchmarks/bench_e21_store.py``): ``backend``
-    is the lookup mode (``scan`` or ``indexed``), ``n`` the store's row
-    count. Row and lookup counts are deterministic by construction, so
-    the gate compares them exactly."""
+    is the lookup mode (``scan``, ``indexed`` or ``scenario``), ``n``
+    the store's row count. Row and lookup counts are deterministic by
+    construction, so the gate compares them exactly."""
     from repro.engine.storebench import DEFAULT_LOOKUPS, measure_mode
 
     lookups = int(workload.get("lookups", DEFAULT_LOOKUPS))

@@ -17,11 +17,24 @@ import json
 import multiprocessing
 
 from repro.engine.index import StoreIndex, scan_rows
+from repro.engine.jobs import expand_jobs
+from repro.engine.registry import ScenarioSpec
+from repro.engine.runner import execute_job, run_spec
 from repro.engine.store import ResultStore
 
 WRITERS = 2
 BATCHES = 60
 ROWS_PER_BATCH = 5
+
+
+def _sweep_spec(name):
+    return ScenarioSpec(
+        name=name,
+        family="gnp",
+        algorithms=("moat",),
+        grid={"n": [8, 9, 10], "p": 0.4, "k": 2, "component_size": 2},
+        seeds=1,
+    )
 
 
 def _writer(path, tag, barrier):
@@ -194,3 +207,39 @@ def test_torn_tail_is_invisible_until_completed(tmp_path):
     store.refresh()
     assert set(store.keys()) == {"whole", "torn-row"}
     assert store.lookup("torn-row")["scenario"] == "torn"
+
+
+def test_sweep_sees_out_of_band_rows_as_hits(tmp_path):
+    """Rows another process appends between two sweeps are hits for the
+    second sweep's key probe, through the same (already synced) index."""
+    path = tmp_path / "store.jsonl"
+    store = ResultStore(path)
+    first = run_spec(_sweep_spec("first"), store=store, parallel=False)
+    assert (first.executed, first.cached) == (3, 0)
+
+    second = _sweep_spec("second")
+    rows = [execute_job(job.to_dict()) for job in expand_jobs(second)]
+    ResultStore(path, index=False).append(rows)  # out-of-band writer
+
+    stats = run_spec(second, store=store, parallel=False)
+    assert (stats.executed, stats.cached) == (0, 3)
+    assert [r["metrics"]["weight"] for r in stats.records] \
+        == [r["metrics"]["weight"] for r in rows]
+
+
+def test_sweep_does_not_hit_a_torn_tail(tmp_path):
+    """A job whose row is still mid-write is not a hit: the probe never
+    sees the torn tail, so the sweep runs that job itself."""
+    path = tmp_path / "store.jsonl"
+    spec = _sweep_spec("torn")
+    jobs = expand_jobs(spec)
+    rows = [execute_job(job.to_dict()) for job in jobs]
+    store = ResultStore(path)
+    store.append(rows[:-1])
+    line = json.dumps(rows[-1], sort_keys=True)
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(line[: len(line) // 2])  # no newline
+
+    stats = run_spec(spec, store=store, parallel=False)
+    assert (stats.executed, stats.cached) == (1, len(jobs) - 1)
+    assert [r["key"] for r in stats.records] == [job.key for job in jobs]

@@ -162,6 +162,24 @@ class TestIndexScanEquivalence:
         for record in picked:
             assert record["metrics"]["weight"] == first_weight[record["key"]]
 
+    @given(row_batches())
+    @settings(max_examples=15, deadline=None)
+    def test_missing_file_and_empty_key_set_agree(self, tmp_path_factory, rows):
+        """A key-only select on a store whose file does not exist yet,
+        or with no keys at all, is ``[]`` both ways — never an error."""
+        path = tmp_path_factory.mktemp("prop") / "store.jsonl"
+        wanted = [row["key"] for row in rows]
+        for index in (True, False):
+            fresh = ResultStore(path, index=index)
+            assert fresh.select(keys=wanted) == []
+            assert fresh.select(keys=[]) == []
+            assert fresh.keys() == set()
+        assert not path.exists()
+
+        ResultStore(path, index=False).append(rows)
+        assert ResultStore(path, index=True).select(keys=[]) == []
+        assert ResultStore(path, index=False).select(keys=[]) == []
+
     @given(row_batches(), row_batches())
     @settings(max_examples=15, deadline=None)
     def test_out_of_band_growth_is_absorbed(self, tmp_path_factory, first, second):
