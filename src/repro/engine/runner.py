@@ -62,7 +62,9 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
     With ``job.profile`` set, a :class:`~repro.perf.PhaseProfiler`
     rides along (attached to the ledger for run-accepting solvers, as
     wall-time spans for centralized ones) and the record gains a
-    ``profile`` field; profiling never changes the computation.
+    ``profile`` field; profiling never changes the computation. A
+    numpy-tier ledger's kernel declines, when there are any, ride in
+    that field as ``declines`` (reason → count).
     """
     job = Job.from_dict(job_dict)
     instance = build_instance(job)
@@ -158,6 +160,9 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
         record["profile"] = profiler.to_dict(
             bandwidth_bits=ledger.bandwidth_bits if ledger is not None else None
         )
+        declines = getattr(ledger, "declines", None)
+        if declines:
+            record["profile"]["declines"] = dict(sorted(declines.items()))
     return record
 
 

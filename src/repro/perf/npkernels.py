@@ -284,6 +284,8 @@ class NumpyCongestRun(FastCongestRun):
         self.npc = npc if npc is not None else NumpyTopology(graph)
         self._pending = np.zeros(self.npc.num_edges, dtype=np.int64)
         self._pending_dirty = False
+        #: Kernel calls that fell back to the Python path, by reason.
+        self.declines: Counter = Counter()
 
     # -- pending-array Counter bridge -----------------------------------
 
@@ -439,6 +441,13 @@ def build_bfs_tree_numpy(run: "NumpyCongestRun", root: Node):
 # ---------------------------------------------------------------------
 
 
+def _decline(run: "NumpyCongestRun", reason: str) -> None:
+    """Count one kernel decline on the ledger; the caller returns this
+    None and the primitive takes its Python path."""
+    run.declines[reason] += 1
+    return None
+
+
 def bellman_ford_numpy(
     graph: WeightedGraph,
     sources: Any,
@@ -450,7 +459,8 @@ def bellman_ford_numpy(
     """The numpy branch of :func:`repro.congest.bellman_ford.
     bellman_ford`; returns a BellmanFordResult or None when the
     workload cannot be scaled to int64 exactly (the caller then takes
-    the python branch).
+    the python branch). Each None is counted in ``run.declines`` under
+    its reason.
 
     Per relaxation round: gather every out-edge of the changed set,
     lexsort candidates by (distance, tag rank, sender rank) — the exact
@@ -476,25 +486,25 @@ def bellman_ford_numpy(
         else:
             evaluated = npc.directed_weights(edge_weight)
             if evaluated is None:
-                return None
+                return _decline(run, "unscalable edge weights")
             w_scaled, w_denom = evaluated
 
     # --- scale the source distances to the common grid --------------
     source_items = list(sources.items())
     d0_scaled = scale_fractions([d0 for _, (d0, _) in source_items])
     if d0_scaled is None:
-        return None
+        return _decline(run, "unscalable source distances")
     d0_values, d0_denom = d0_scaled
     denom = w_denom * d0_denom // math.gcd(w_denom, d0_denom)
     if denom >= INT64_LIMIT:
-        return None
+        return _decline(run, "common grid >= 2^62")
     if denom != w_denom:
         factor = denom // w_denom
         # Pre-check in python ints: the int64 multiply itself could
         # wrap before any bound assertion sees the product.
         max_abs_w = int(np.abs(w_scaled).max()) if w_scaled.size else 0
         if max_abs_w * factor >= INT64_LIMIT:
-            return None
+            return _decline(run, "scaled weights overflow")
         w_scaled = w_scaled * factor
     if denom != d0_denom:
         factor = denom // d0_denom
@@ -504,7 +514,7 @@ def bellman_ford_numpy(
     max_w = int(w_scaled.max()) if w_scaled.size else 0
     max_d0 = max((abs(d) for d in d0_values), default=0)
     if max_d0 + n * max(0, max_w) >= INT64_LIMIT:
-        return None
+        return _decline(run, "distance bound overflow")
     assert_int64_bounds(w_scaled, "bellman_ford weights")
 
     # --- tags: repr-rank ints (equal reprs share a rank, exactly the

@@ -9,6 +9,7 @@ the group's jobs, so a profile over several seeds/grid points reads as
 one representative breakdown per pipeline.
 """
 
+from collections import Counter
 from typing import Any, Dict, List, Mapping, Tuple
 
 #: Width of the wall-time bar column (characters at 100%).
@@ -62,8 +63,10 @@ def render_profile_report(records: List[Mapping[str, Any]]) -> str:
     Each (scenario, algorithm, backend) group gets one section: a row
     per phase (nested spans indented under their parent phase) with
     mean rounds, messages, wall seconds, the wall share, and a bar
-    proportional to it. Records without a ``profile`` field are
-    ignored; an all-unprofiled input renders a hint instead of nothing.
+    proportional to it, then one line per numpy-kernel decline reason
+    with its count summed over the group. Records without a ``profile``
+    field are ignored; an all-unprofiled input renders a hint instead of
+    nothing.
     """
     groups: Dict[Tuple[str, str, str], List[Mapping[str, Any]]] = {}
     for record in records:
@@ -108,5 +111,10 @@ def render_profile_report(records: List[Mapping[str, Any]]) -> str:
             f"{'total'.ljust(name_width)} {total_rounds:9.1f} "
             f"{total_messages:10.1f} {total_wall:9.4f} {1:6.1%}"
         )
+        declines: Counter = Counter()
+        for record in group:
+            declines.update(record["profile"].get("declines", {}))
+        for reason, count in sorted(declines.items()):
+            lines.append(f"numpy kernel declined ({reason}): {count}")
         sections.append("\n".join(lines))
     return "\n\n".join(sections)

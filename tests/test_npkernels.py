@@ -328,6 +328,83 @@ class TestScalingGuards:
         assert _ledger_fp(ref_run) == _ledger_fp(np_run)
 
 
+def _path(weight):
+    return WeightedGraph(
+        ["n00", "n01", "n02"],
+        [("n00", "n01", weight), ("n01", "n02", weight)],
+        validate=False,
+    )
+
+
+#: One workload per ``return None`` in ``bellman_ford_numpy``:
+#: (graph weight, start distance, custom edge weight or None).
+DECLINES = {
+    "unscalable edge weights": (1, Fraction(0), lambda u, v: 0.5),
+    "unscalable source distances": (1, Fraction(1, 2 ** 63), None),
+    # 3^20 · 2^31 > 2^62, though each denominator alone is in bound.
+    "common grid >= 2^62": (
+        1, Fraction(1, 2 ** 31), lambda u, v: Fraction(1, 3 ** 20)
+    ),
+    "scaled weights overflow": (2 ** 40, Fraction(1, 2 ** 30), None),
+    "distance bound overflow": (2 ** 61, Fraction(0), None),
+}
+
+
+class TestDeclineCounts:
+    @pytest.mark.parametrize("reason", sorted(DECLINES))
+    def test_each_decline_is_counted_with_its_reason(self, reason):
+        weight, start, edge_weight = DECLINES[reason]
+        graph = _path(weight)
+        sources = {"n00": (start, "A")}
+        ref_run = CongestRun(graph)
+        ref = bellman_ford(graph, sources, ref_run, edge_weight=edge_weight)
+        np_run = NumpyCongestRun(graph)
+        fast = bellman_ford(graph, sources, np_run, edge_weight=edge_weight)
+        assert np_run.declines == {reason: 1}
+        assert list(ref.dist.items()) == list(fast.dist.items())
+        assert _ledger_fp(ref_run) == _ledger_fp(np_run)
+
+    def test_accepted_kernel_counts_nothing(self):
+        np_run = NumpyCongestRun(_path(3))
+        bellman_ford(np_run.graph, {"n00": (Fraction(1, 2), "A")}, np_run)
+        assert not np_run.declines
+
+    def test_profile_reports_declines_and_plain_records_do_not_change(
+        self, monkeypatch
+    ):
+        from repro.engine.jobs import expand_jobs
+        from repro.engine.registry import ScenarioSpec
+        from repro.engine.runner import execute_job
+        from repro.perf import npkernels
+        from repro.perf.report import render_profile_report
+
+        def job(profile):
+            spec = ScenarioSpec(
+                name="declines", family="gnp", algorithms=("distributed",),
+                grid={"n": 10, "p": 0.4, "k": 2, "component_size": 2},
+                seeds=1, backend="numpy", profile=profile,
+            )
+            return expand_jobs(spec)[0].to_dict()
+
+        def records():
+            plain, profiled = execute_job(job(False)), execute_job(job(True))
+            plain["metrics"].pop("wall_time")
+            return plain, profiled
+
+        plain, profiled = records()
+        assert "declines" not in profiled["profile"]
+        # Every kernel declines once nothing scales; results fall back.
+        monkeypatch.setattr(npkernels, "scale_fractions", lambda values: None)
+        plain_declined, profiled_declined = records()
+        assert plain_declined == plain
+        declines = profiled_declined["profile"]["declines"]
+        assert declines and set(declines) <= set(DECLINES)
+        text = render_profile_report([profiled_declined])
+        for reason, count in declines.items():
+            assert f"numpy kernel declined ({reason}): {count}" in text
+        assert "declined" not in render_profile_report([profiled])
+
+
 # ---------------------------------------------------------------------
 # Array kernels against naive python
 # ---------------------------------------------------------------------

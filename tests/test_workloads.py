@@ -1,16 +1,20 @@
 """Tests for the workload generators."""
 
+import hashlib
 import random
+import sys
 
 import networkx as nx
 import pytest
 
+from repro.simbackend import numpy_tier_available
 from repro.workloads import (
     TERMINAL_PLACEMENTS,
     broom_graph,
     caterpillar_graph,
     clustered_geometric_graph,
     ensure_connected,
+    generators,
     grid_graph,
     grid_instance,
     place_terminals,
@@ -309,6 +313,91 @@ class TestSeededReproducibility:
         a = random_connected_graph(15, 0.3, random.Random(1))
         b = random_connected_graph(15, 0.3, random.Random(2))
         assert _graph_fingerprint(a) != _graph_fingerprint(b)
+
+
+#: sha256 of ``repr(random_connected_graph(2048, 0.01, Random(s))
+#: .edges())``, weighted edges in order, as networkx's own G(n, p)
+#: generator produced them before the bulk draw existed.
+GNP_2048_SHA256 = {
+    0: "622adec12d1d5a6d3ed80bd3cdfb73f004b02469b98f355e0c47ee70b87266c5",
+    1: "9254f487b37b6614763e099b26a3ccb661f9ffafbbd20aebf34f492e662b989f",
+}
+
+requires_numpy = pytest.mark.skipif(
+    not numpy_tier_available(),
+    reason="optional numpy extra not installed",
+)
+
+
+def _nx_graph_fingerprint(graph):
+    """Nodes, edges and every node's adjacency, all in iteration order."""
+    return (
+        list(graph.nodes),
+        list(graph.edges),
+        [list(graph.adj[u]) for u in graph],
+    )
+
+
+class TestBulkGnp:
+    """``_gnp`` is networkx's G(n, p), whichever path draws it."""
+
+    @pytest.mark.parametrize("seed", sorted(GNP_2048_SHA256))
+    def test_gnp_2048_edges_pinned(self, seed):
+        graph = random_connected_graph(2048, 0.01, random.Random(seed))
+        digest = hashlib.sha256(repr(graph.edges()).encode()).hexdigest()
+        assert digest == GNP_2048_SHA256[seed]
+
+    @requires_numpy
+    @pytest.mark.parametrize(
+        "n,p,seed",
+        [
+            pytest.param(n, p, seed, id=f"numpy-n{n}-p{p}-seed{seed}")
+            # n >= 256 spans several 2^14-coin chunks, the last partial;
+            # n = 363 (65703 coins) also spans more than 2^16.
+            for n in (0, 1, 2, 3, 48, 256, 363, 1000)
+            for p in (0, 1e-9, 0.01, 0.5, 0.999999, 1, 1.5)
+            for seed in (0, 1, 2 ** 30 - 1, 2 ** 32 + 7, 2 ** 64 + 3)
+        ],
+    )
+    def test_bulk_draw_equals_networkx(self, n, p, seed, monkeypatch):
+        # Draw in bulk at every n, not only above the size cut-over.
+        monkeypatch.setattr(generators, "_GNP_BULK_MIN_PAIRS", 1)
+        assert _nx_graph_fingerprint(
+            generators._gnp(n, p, seed)
+        ) == _nx_graph_fingerprint(nx.gnp_random_graph(n, p, seed=seed))
+
+    @staticmethod
+    def _spy_on_networkx(monkeypatch):
+        calls = []
+        original = nx.gnp_random_graph
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(generators.nx, "gnp_random_graph", spy)
+        return calls, original
+
+    def test_without_numpy_falls_back_to_networkx(self, monkeypatch):
+        calls, original = self._spy_on_networkx(monkeypatch)
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        graph = generators._gnp(48, 0.3, 7)
+        assert calls == [(48, 0.3)]
+        assert _nx_graph_fingerprint(graph) == _nx_graph_fingerprint(
+            original(48, 0.3, seed=7)
+        )
+
+    @requires_numpy
+    def test_numpy_draws_in_bulk_from_the_cut_over(self, monkeypatch):
+        calls, _ = self._spy_on_networkx(monkeypatch)
+        below = max(
+            n for n in range(64)
+            if n * (n - 1) // 2 < generators._GNP_BULK_MIN_PAIRS
+        )
+        generators._gnp(below, 0.3, 7)
+        assert calls == [(below, 0.3)]
+        generators._gnp(below + 1, 0.3, 7)
+        assert calls == [(below, 0.3)]
 
 
 class TestEnsureConnected:
