@@ -17,7 +17,10 @@ setup(
     install_requires=["networkx"],
     extras_require={
         # The vectorized execution tier (repro.perf.npkernels and the
-        # "numpy" backend) — the reference path never needs it.
+        # "numpy" backend), and the graph oracle's Floyd–Warshall pass
+        # for s, WD and every distance row at 32 <= n <= 768
+        # (WeightedGraph._key_matrix) — the reference path never needs
+        # it.
         "numpy": ["numpy"],
         "test": ["pytest", "pytest-benchmark"],
     },

@@ -304,7 +304,7 @@ def distributed_moat_growing(
             # callable itself or declines entirely.
             from repro.perf.npkernels import scaled_reduced_weights
 
-            np_scaled = scaled_reduced_weights(npc, leftover)
+            np_scaled = scaled_reduced_weights(run, leftover)
             if np_scaled is not None:
                 reduced_weight.np_scaled = np_scaled  # type: ignore[attr-defined]
 
@@ -437,7 +437,7 @@ def distributed_moat_growing(
             from repro.perf.npkernels import apply_radius_growth
 
             grown = apply_radius_growth(
-                npc,
+                run,
                 leftover,
                 owner,
                 parent,

@@ -442,8 +442,8 @@ def build_bfs_tree_numpy(run: "NumpyCongestRun", root: Node):
 
 
 def _decline(run: "NumpyCongestRun", reason: str) -> None:
-    """Count one kernel decline on the ledger; the caller returns this
-    None and the primitive takes its Python path."""
+    """Count one kernel decline on the ledger; the caller returns its
+    decline value and the primitive takes its Python path."""
     run.declines[reason] += 1
     return None
 
@@ -778,7 +778,7 @@ def grow_radii(
 
 
 def scaled_reduced_weights(
-    npc: NumpyTopology, leftover: Dict[Node, Fraction]
+    run: "NumpyCongestRun", leftover: Dict[Node, Fraction]
 ) -> Optional[Tuple[np.ndarray, int]]:
     """Vectorized Ŵ_j (Definition 4.5) on the scaled integer grid.
 
@@ -786,11 +786,12 @@ def scaled_reduced_weights(
     edge, scaled by the leftovers' common denominator. Returns
     ``(per-edge scaled int64, denominator)`` or None when the leftovers
     cannot be scaled within bounds (caller falls back to the python
-    reduced-weight callable).
+    reduced-weight callable); each None is counted in ``run.declines``.
     """
+    npc = run.npc
     scaled = scale_fractions(list(leftover.values()))
     if scaled is None:
-        return None
+        return _decline(run, "unscalable leftovers")
     values, denom = scaled
     n = len(npc.order)
     lo = np.zeros(n, dtype=np.int64)
@@ -799,7 +800,7 @@ def scaled_reduced_weights(
         lo[rank_of[v]] = s
     max_w = int(npc.eid_weight.max()) if npc.num_edges else 0
     if max_w * denom >= INT64_LIMIT:
-        return None
+        return _decline(run, "reduced weights overflow")
     w = npc.eid_weight * denom
     lo_u = lo[npc.eid_u]
     lo_v = lo[npc.eid_v]
@@ -812,7 +813,7 @@ def scaled_reduced_weights(
 
 
 def apply_radius_growth(
-    npc: NumpyTopology,
+    run: "NumpyCongestRun",
     leftover: Dict[Node, Fraction],
     owner: Dict[Node, Optional[Node]],
     parent: Dict[Node, Optional[Node]],
@@ -825,7 +826,8 @@ def apply_radius_growth(
     """Run one end-of-phase radius/coverage update through
     :func:`grow_radii`, writing the results back into the solver's
     replicated per-node dicts. Returns False when the phase values
-    cannot be scaled (caller runs the python loops instead).
+    cannot be scaled (caller runs the python loops instead), and counts
+    that in ``run.declines``.
 
     Byte-identical to the reference loops in
     :func:`repro.core.distributed.distributed_moat_growing`: the same
@@ -838,7 +840,9 @@ def apply_radius_growth(
     ]
     scaled = scale_fractions([value for _, value in entries])
     if scaled is None:
+        _decline(run, "unscalable phase values")
         return False
+    npc = run.npc
     values, denom = scaled
     n = len(npc.order)
     rank_of = npc.rank_of

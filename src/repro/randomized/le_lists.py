@@ -28,8 +28,9 @@ def le_list_of_row(
     row: Dict[Node, int], rank: Dict[Node, int]
 ) -> List[Tuple[int, Node]]:
     """The LE list of the node whose distance row is ``row``: the
-    record-rank nodes in (distance, −rank, repr) order."""
-    ordered = sorted(row, key=lambda u: (row[u], -rank[u], repr(u)))
+    record-rank nodes in (distance, −rank) order, a total order because
+    ``rank`` is a permutation."""
+    ordered = sorted(row, key=lambda u: (row[u], -rank[u]))
     result: List[Tuple[int, Node]] = []
     best_rank = -1
     for u in ordered:

@@ -9,9 +9,10 @@ from repro.congest import CongestRun
 from repro.randomized.le_lists import (
     ancestor_from_le_list,
     distributed_le_lists,
+    le_list_of_row,
     le_list_reference,
 )
-from repro.workloads import random_connected_graph
+from repro.workloads import random_connected_graph, torus_graph
 
 
 def _random_ranks(graph, seed):
@@ -48,6 +49,31 @@ class TestReference:
                 lengths.append(len(le_list_reference(graph, rank, v)))
         mean = sum(lengths) / len(lengths)
         assert mean <= 4 * math.log(graph.num_nodes)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repr_tie_break_was_never_reached(self, seed):
+        """Ranks are a permutation, so (distance, -rank) is already a
+        total order: dropping the repr key leaves every list unchanged,
+        also with int nodes past 9 and tuple nodes, on rows full of
+        equal distances."""
+        rng = random.Random(seed)
+        graphs = [
+            random_connected_graph(40, 0.15, rng, max_weight=2),
+            torus_graph(5, 6, rng, max_weight=2),
+        ]
+        for graph in graphs:
+            rank = _random_ranks(graph, seed)
+            for v in graph.nodes:
+                row = graph.all_pairs_distances([v])[v]
+                ordered = sorted(
+                    row, key=lambda u: (row[u], -rank[u], repr(u))
+                )
+                expected, best = [], -1
+                for u in ordered:
+                    if rank[u] > best:
+                        best = rank[u]
+                        expected.append((row[u], u))
+                assert le_list_of_row(row, rank) == expected
 
 
 class TestDistributed:

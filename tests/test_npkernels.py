@@ -37,6 +37,7 @@ from repro.perf.npkernels import (  # noqa: E402
     gather_out_edges,
     grow_radii,
     scale_fractions,
+    scaled_reduced_weights,
 )
 
 # ---------------------------------------------------------------------
@@ -350,6 +351,33 @@ DECLINES = {
 }
 
 
+def _reduced_weights(weight, leftover):
+    run = NumpyCongestRun(_path(weight))
+    return run, scaled_reduced_weights(run, {"n00": leftover})
+
+
+def _radius_growth(leftover):
+    run = NumpyCongestRun(_path(1))
+    nodes = {v: None for v in run.graph.nodes}
+    grown = apply_radius_growth(
+        run, {"n00": leftover}, dict(nodes), dict(nodes), {}, {}, {}, {},
+        Fraction(1),
+    )
+    return run, grown
+
+
+#: One call per decline of the moat-phase kernels
+#: (``scaled_reduced_weights``, ``apply_radius_growth``): reason →
+#: a call returning (ledger, kernel result).
+PHASE_DECLINES = {
+    "unscalable leftovers": lambda: _reduced_weights(1, 0.5),
+    "reduced weights overflow": lambda: _reduced_weights(
+        2 ** 40, Fraction(1, 2 ** 30)
+    ),
+    "unscalable phase values": lambda: _radius_growth(0.5),
+}
+
+
 class TestDeclineCounts:
     @pytest.mark.parametrize("reason", sorted(DECLINES))
     def test_each_decline_is_counted_with_its_reason(self, reason):
@@ -368,6 +396,18 @@ class TestDeclineCounts:
         np_run = NumpyCongestRun(_path(3))
         bellman_ford(np_run.graph, {"n00": (Fraction(1, 2), "A")}, np_run)
         assert not np_run.declines
+
+    @pytest.mark.parametrize("reason", sorted(PHASE_DECLINES))
+    def test_each_phase_kernel_decline_is_counted(self, reason):
+        run, result = PHASE_DECLINES[reason]()
+        assert result is None or result is False
+        assert run.declines == {reason: 1}
+
+    def test_accepted_phase_kernels_count_nothing(self):
+        run, result = _reduced_weights(3, Fraction(1, 2))
+        assert result is not None and not run.declines
+        run, grown = _radius_growth(Fraction(1, 2))
+        assert grown is True and not run.declines
 
     def test_profile_reports_declines_and_plain_records_do_not_change(
         self, monkeypatch
@@ -398,7 +438,12 @@ class TestDeclineCounts:
         plain_declined, profiled_declined = records()
         assert plain_declined == plain
         declines = profiled_declined["profile"]["declines"]
-        assert declines and set(declines) <= set(DECLINES)
+        assert declines and set(declines) <= set(DECLINES) | set(
+            PHASE_DECLINES
+        )
+        assert {"unscalable leftovers", "unscalable phase values"} <= set(
+            declines
+        )
         text = render_profile_report([profiled_declined])
         for reason, count in declines.items():
             assert f"numpy kernel declined ({reason}): {count}" in text
@@ -472,7 +517,7 @@ class TestArrayKernels:
         rng = random.Random(seed)
         graph = _build_graph("random", 10, seed, "small")
         nodes = list(graph.nodes)
-        npc = NumpyCongestRun(graph).npc
+        run = NumpyCongestRun(graph)
         covered = rng.sample(nodes, rng.randint(1, 6))
         leftover = {
             v: Fraction(rng.randint(0, 9), rng.choice([1, 2, 3]))
@@ -506,7 +551,7 @@ class TestArrayKernels:
                 exp_leftover[x] = mu - d
 
         assert apply_radius_growth(
-            npc, leftover, owner, parent, sources,
+            run, leftover, owner, parent, sources,
             tree_owner, tree_parent, tree_dist, mu,
         )
         assert list(leftover.items()) == list(exp_leftover.items())
@@ -515,11 +560,11 @@ class TestArrayKernels:
 
     def test_apply_radius_growth_declines_unscalable(self):
         graph = _build_graph("path", 4, 1, "small")
-        npc = NumpyCongestRun(graph).npc
+        run = NumpyCongestRun(graph)
         nodes = list(graph.nodes)
         leftover = {nodes[0]: 0.5}  # float: not scalable
         assert not apply_radius_growth(
-            npc, leftover, {v: None for v in nodes},
+            run, leftover, {v: None for v in nodes},
             {v: None for v in nodes}, {}, {}, {}, {}, Fraction(1),
         )
         assert leftover == {nodes[0]: 0.5}  # untouched on decline
