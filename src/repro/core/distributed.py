@@ -38,6 +38,14 @@ locally known quantities. Candidates whose µ exceeds the phase-ending growth
 are *false candidates* (Definition 4.15); they order after all genuine ones
 (Lemma E.1) and are cut off by the early stop.
 
+Every l, d, ψ and Ŵ_j above is a half-sum of integer edge weights, so all of
+them are kept as Python ints on one grid 1/scale, scale a power of two
+(initially 1), and every candidate µ as an int key on the grid 1/(2·scale):
+W(e)·scale + ψ(x) + ψ(y), or 2·(W(e)·scale + ψ(x) − l(y)). When the phase's
+µ key is odd, scale doubles at the phase end (leftovers and distances are
+multiplied by 2, the key is the new µ); otherwise µ is the key halved. Only
+the reported :attr:`AcceptedMerge.mu` is a ``Fraction``: key / (2·scale).
+
 The run matches Algorithm 1 merge by merge (same µ sequence, same moat
 evolution) — the tests assert this against :func:`repro.core.moat.
 moat_growing` — and the measured round count realizes the O(ks + t) bound of
@@ -45,9 +53,7 @@ Theorem 4.17.
 """
 
 from fractions import Fraction
-from itertools import chain
-from math import lcm
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.bellman_ford import bellman_ford
@@ -60,17 +66,6 @@ from repro.model.instance import SteinerForestInstance
 from repro.model.solution import ForestSolution
 from repro.perf.profiler import maybe_span
 from repro.util import UnionFind
-
-
-def merge_grid(values: Iterable[Fraction]) -> int:
-    """The phase's integer grid: 2 · lcm of the denominators of ``values``.
-
-    Every ψ and leftover of a phase is a multiple of 1/L for L the lcm of
-    their denominators, so each candidate weight µ (a half-sum or a sum
-    of them and an integer edge weight) is a multiple of 1/(2L): µ · grid
-    is an int that orders and compares exactly like µ.
-    """
-    return 2 * lcm(1, *{value.denominator for value in values})
 
 
 class AcceptedMerge:
@@ -248,13 +243,15 @@ def distributed_moat_growing(
 
     state = _MoatBookkeeping(instance)
 
-    # Per-node geometry, replicated consistently after each phase broadcast:
+    # Per-node geometry, replicated consistently after each phase broadcast;
+    # leftovers and distances are ints on the grid 1/scale.
     owner: Dict[Node, Optional[Node]] = {v: None for v in graph.nodes}
     parent: Dict[Node, Optional[Node]] = {v: None for v in graph.nodes}
-    leftover: Dict[Node, Fraction] = {}
+    leftover: Dict[Node, int] = {}
     for t in instance.terminals:
         owner[t] = t
-        leftover[t] = Fraction(0)
+        leftover[t] = 0
+    scale = 1
 
     merges: List[AcceptedMerge] = []
     forest_edges: Set[Edge] = set()
@@ -280,31 +277,27 @@ def distributed_moat_growing(
         # Ŵ_j is fixed within the phase (leftover only changes at phase
         # end), so each edge's reduced weight is computed once instead of
         # once per relaxation round.
-        rw_cache: Dict[Tuple[Node, Node], Fraction] = {}
+        rw_cache: Dict[Tuple[Node, Node], int] = {}
 
-        def reduced_weight(x: Node, y: Node) -> Fraction:
+        def reduced_weight(x: Node, y: Node) -> int:
             value = rw_cache.get((x, y))
             if value is None:
-                w = Fraction(graph.weight(x, y))
-                cov = Fraction(0)
-                for endpoint in (x, y):
-                    lo = leftover.get(endpoint)
-                    if lo is not None and lo > 0:
-                        cov += min(w, lo)
+                w = graph.weight(x, y) * scale
+                value = max(
+                    0,
+                    w - min(w, leftover.get(x, 0)) - min(w, leftover.get(y, 0)),
+                )
                 # Ŵ_j is symmetric in the endpoints: fill both directions.
-                value = max(Fraction(0), w - cov)
                 rw_cache[(x, y)] = rw_cache[(y, x)] = value
             return value
 
         if npc is not None:
-            # Precompute the whole phase's Ŵ_j on the scaled int64 grid;
-            # the Bellman–Ford kernel picks it up through the
-            # ``np_scaled`` hook. None (unscalable leftovers) simply
-            # leaves the hook unset — the kernel then scales the python
-            # callable itself or declines entirely.
+            # The whole phase's Ŵ_j as one int64 array, which the
+            # Bellman–Ford kernel picks up through the ``np_scaled``
+            # hook; None (int64 overflow) leaves the hook unset.
             from repro.perf.npkernels import scaled_reduced_weights
 
-            np_scaled = scaled_reduced_weights(run, leftover)
+            np_scaled = scaled_reduced_weights(run, leftover, scale)
             if np_scaled is not None:
                 reduced_weight.np_scaled = np_scaled  # type: ignore[attr-defined]
 
@@ -314,7 +307,7 @@ def distributed_moat_growing(
             if own is None:
                 continue
             if state.is_active(own):
-                sources[x] = (Fraction(0), own)
+                sources[x] = (0, own)
             else:
                 blocked.add(x)
         with maybe_span(profiler, "bellman-ford"):
@@ -322,13 +315,15 @@ def distributed_moat_growing(
                 graph, sources, run, edge_weight=reduced_weight, blocked=blocked
             )
 
-        # Phase-local overlay: tree owner / reduced distance / parent.
+        # Phase-local overlay: tree owner / reduced distance / parent. The
+        # distances are sums of int reduced weights, so every Fraction
+        # ``bellman_ford`` returns is an int at ``scale``.
         tree_owner: Dict[Node, Optional[Node]] = dict(owner)
-        tree_dist: Dict[Node, Fraction] = {}
+        tree_dist: Dict[Node, int] = {}
         tree_parent: Dict[Node, Optional[Node]] = dict(parent)
         for x in bf.dist:
             tree_owner[x] = bf.tag[x]
-            tree_dist[x] = Fraction(bf.dist[x])
+            tree_dist[x] = bf.dist[x].numerator
             if bf.parent[x] is not None:
                 tree_parent[x] = bf.parent[x]
 
@@ -340,17 +335,12 @@ def distributed_moat_growing(
 
         # --------------------------------------------------------------
         # Step (b): one round of owner exchange, then local candidate
-        # construction for cross-tree edges, keyed on the phase's integer
-        # grid: µ·grid orders exactly like µ.
+        # construction for cross-tree edges, keyed on the grid
+        # 1/(2·scale): the key is µ·2·scale.
         # --------------------------------------------------------------
         run.tick_neighbors(graph)
-        grid = merge_grid(chain(tree_dist.values(), leftover.values()))
-
-        def scaled(value: Union[int, Fraction]) -> int:
-            return value.numerator * (grid // value.denominator)
-
         psi = {
-            x: scaled(tree_dist.get(x, 0)) - scaled(leftover.get(x, 0))
+            x: tree_dist.get(x, 0) - leftover.get(x, 0)
             for x, own in tree_owner.items()
             if own is not None
         }
@@ -368,16 +358,17 @@ def distributed_moat_growing(
             er = edge_repr.get(edge)
             if er is None:
                 er = edge_repr[edge] = repr(edge)
+            ws = w * scale
             for a, b, oa, ob in ((x, y, ox, oy), (y, x, oy, ox)):
                 if not active[oa]:
                     continue  # Definition 4.11 requires the active side
                 if active[ob]:
-                    mu = (w * grid + psi[a] + psi[b]) // 2
+                    key = ws + psi[a] + psi[b]
                 else:
-                    mu = w * grid + psi[a] - scaled(leftover.get(b, 0))
+                    key = 2 * (ws + psi[a] - leftover.get(b, 0))
                 local_candidates[a].append(
                     MergeItem(
-                        key=(mu, pair, er), a=oa, b=ob, payload=(edge, a, b)
+                        key=(key, pair, er), a=oa, b=ob, payload=(edge, a, b)
                     )
                 )
 
@@ -405,13 +396,12 @@ def distributed_moat_growing(
         # Step (d): broadcast the accepted merges; all nodes update their
         # replicated bookkeeping locally.
         # --------------------------------------------------------------
-        mus = [Fraction(item.key[0], grid) for item in accepted]
+        mus = [Fraction(item.key[0], 2 * scale) for item in accepted]
         broadcast_items(
             tree,
             [(item.a, item.b, mu) for item, mu in zip(accepted, mus)],
             run,
         )
-        mu_phase = mus[-1]
         for item, mu in zip(accepted, mus):
             edge, a_side, b_side = item.payload  # type: ignore[misc]
             path = list(reversed(path_to_owner(a_side)))
@@ -428,37 +418,32 @@ def distributed_moat_growing(
             )
             state.apply_merge(item.a, item.b)
 
+        # An odd µ key lies off the grid 1/scale: double the grid.
+        mu_phase = accepted[-1].key[0]
+        if mu_phase % 2:
+            scale *= 2
+            for x in leftover:
+                leftover[x] *= 2
+            for x in tree_dist:
+                tree_dist[x] *= 2
+        else:
+            mu_phase //= 2
+
         # Radii / coverage update: every covered node of an active moat
         # gains µ_phase of leftover; nodes the Bellman–Ford reached within
         # µ_phase are newly absorbed. Activity *during* the phase is the
         # activity at phase start, i.e. membership in ``sources``.
-        grown = False
-        if npc is not None:
-            from repro.perf.npkernels import apply_radius_growth
-
-            grown = apply_radius_growth(
-                run,
-                leftover,
-                owner,
-                parent,
-                sources,
-                tree_owner,
-                tree_parent,
-                tree_dist,
-                mu_phase,
-            )
-        if not grown:
-            for x, lo in list(leftover.items()):
-                own = owner[x]
-                if own is not None and x in sources:
-                    leftover[x] = lo + mu_phase
-            for x, d in tree_dist.items():
-                if x in sources:
-                    continue
-                if d <= mu_phase:
-                    owner[x] = tree_owner[x]
-                    parent[x] = tree_parent[x]
-                    leftover[x] = mu_phase - d
+        for x, lo in list(leftover.items()):
+            own = owner[x]
+            if own is not None and x in sources:
+                leftover[x] = lo + mu_phase
+        for x, d in tree_dist.items():
+            if x in sources:
+                continue
+            if d <= mu_phase:
+                owner[x] = tree_owner[x]
+                parent[x] = tree_parent[x]
+                leftover[x] = mu_phase - d
 
     # ------------------------------------------------------------------
     # Step 5: materialize the merge paths by token passing along the

@@ -2,10 +2,9 @@
 
 The communication primitives' one Python path walks every directed edge
 in Python on every round. The paper's *regular* primitives — BFS
-flooding, multi-source Bellman–Ford, pipelined broadcast, convergecast
-aggregation, and the end-of-phase moat radius growth — are
-round-synchronous array updates, so each round collapses to a handful of
-numpy operations over a CSR topology:
+flooding, multi-source Bellman–Ford, pipelined broadcast and
+convergecast aggregation — are round-synchronous array updates, so each
+round collapses to a handful of numpy operations over a CSR topology:
 
 * :class:`NumpyTopology` — the integer-rank compilation: nodes sorted by
   ``repr`` become ranks (integer ``min`` *is* the primitives' repr-based
@@ -19,11 +18,11 @@ numpy operations over a CSR topology:
   exactly, or a primitive running on a graph other than the ledger's),
   take the Python path, which charges this ledger like any other.
 * the kernels — frontier expansion by segment gather, per-target
-  lexicographic minima by ``lexsort`` + first-occurrence masks, masked
-  radius growth — each produce the byte-identical execution of their
-  pure-python counterpart (same rounds, messages, per-edge traffic,
-  results; pinned by tests/test_npkernels.py and the conformance
-  suites).
+  lexicographic minima by ``lexsort`` + first-occurrence masks, the
+  moat phase's reduced weights as one array expression — each produce
+  the byte-identical execution of their pure-python counterpart (same
+  rounds, messages, per-edge traffic, results; pinned by
+  tests/test_npkernels.py and the conformance suites).
 
 **Integer exactness.** All distance arithmetic runs in int64 after
 scaling every Fraction by the least common denominator. Scaling is
@@ -479,10 +478,12 @@ def bellman_ford_numpy(
         w_denom = 1
         w_scaled = npc.eid_weight[npc.edge_eid]
     else:
+        # An int64 array of the callable's int values per canonical
+        # edge id (the distributed solver's Ŵ_j).
         precomputed = getattr(edge_weight, "np_scaled", None)
         if precomputed is not None:
-            per_eid, w_denom = precomputed
-            w_scaled = per_eid[npc.edge_eid]
+            w_denom = 1
+            w_scaled = precomputed[npc.edge_eid]
         else:
             evaluated = npc.directed_weights(edge_weight)
             if evaluated is None:
@@ -748,133 +749,34 @@ def convergecast_aggregate_numpy(
 
 
 # ---------------------------------------------------------------------
-# Moat radius growth (the end-of-phase masked update)
+# Reduced weights (the moat phase's Ŵ_j)
 # ---------------------------------------------------------------------
 
 
-def grow_radii(
-    leftover_s: np.ndarray,
-    grow_mask: np.ndarray,
-    dist_s: np.ndarray,
-    absorb_candidate: np.ndarray,
-    mu_s: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized end-of-phase radius growth (scaled int64).
-
-    ``grow_mask`` marks covered nodes of active moats: their leftover
-    gains ``mu_s``. ``absorb_candidate`` marks nodes the phase's
-    Bellman–Ford reached from outside the sources: those within the
-    growth (``dist ≤ mu``) are newly absorbed with leftover
-    ``mu_s - dist``. Returns ``(new_leftover_s, absorbed_mask)``.
-    """
-    if mu_s >= INT64_LIMIT:
-        raise AssertionError("int64 bound violated in grow_radii: mu")
-    new_leftover = leftover_s.copy()
-    new_leftover[grow_mask] += mu_s
-    absorbed = absorb_candidate & (dist_s <= mu_s)
-    new_leftover[absorbed] = mu_s - dist_s[absorbed]
-    assert_int64_bounds(new_leftover, "grow_radii leftover")
-    return new_leftover, absorbed
-
-
 def scaled_reduced_weights(
-    run: "NumpyCongestRun", leftover: Dict[Node, Fraction]
-) -> Optional[Tuple[np.ndarray, int]]:
-    """Vectorized Ŵ_j (Definition 4.5) on the scaled integer grid.
+    run: "NumpyCongestRun", leftover: Dict[Node, int], scale: int
+) -> Optional[np.ndarray]:
+    """Vectorized Ŵ_j (Definition 4.5) on the solver's grid 1/scale.
 
-    Computes ``max(0, w - Σ_endpoint min(w, leftover))`` per canonical
-    edge, scaled by the leftovers' common denominator. Returns
-    ``(per-edge scaled int64, denominator)`` or None when the leftovers
-    cannot be scaled within bounds (caller falls back to the python
-    reduced-weight callable); each None is counted in ``run.declines``.
+    ``leftover`` holds ints at ``scale``; returns
+    ``max(0, w·scale − Σ_endpoint min(w·scale, leftover))`` per
+    canonical edge id as int64, or None when ``w·scale`` leaves the
+    int64 bound (counted in ``run.declines``; the caller leaves the
+    Bellman–Ford kernel to evaluate its python callable).
     """
     npc = run.npc
-    scaled = scale_fractions(list(leftover.values()))
-    if scaled is None:
-        return _decline(run, "unscalable leftovers")
-    values, denom = scaled
-    n = len(npc.order)
-    lo = np.zeros(n, dtype=np.int64)
-    rank_of = npc.rank_of
-    for v, s in zip(leftover, values):
-        lo[rank_of[v]] = s
     max_w = int(npc.eid_weight.max()) if npc.num_edges else 0
-    if max_w * denom >= INT64_LIMIT:
+    if max_w * scale >= INT64_LIMIT:
         return _decline(run, "reduced weights overflow")
-    w = npc.eid_weight * denom
-    lo_u = lo[npc.eid_u]
-    lo_v = lo[npc.eid_v]
-    cov = np.where(lo_u > 0, np.minimum(w, lo_u), 0) + np.where(
-        lo_v > 0, np.minimum(w, lo_v), 0
-    )
+    # A leftover counts only up to the edge's weight, so clipping at the
+    # largest scaled weight keeps min(w, lo) exact and inside int64.
+    cap = max_w * scale
+    lo = np.zeros(len(npc.order), dtype=np.int64)
+    rank_of = npc.rank_of
+    for v, value in leftover.items():
+        lo[rank_of[v]] = min(value, cap)
+    w = npc.eid_weight * scale
+    cov = np.minimum(w, lo[npc.eid_u]) + np.minimum(w, lo[npc.eid_v])
     reduced = np.maximum(0, w - cov)
     assert_int64_bounds(reduced, "scaled_reduced_weights")
-    return reduced, denom
-
-
-def apply_radius_growth(
-    run: "NumpyCongestRun",
-    leftover: Dict[Node, Fraction],
-    owner: Dict[Node, Optional[Node]],
-    parent: Dict[Node, Optional[Node]],
-    sources: Dict[Node, Any],
-    tree_owner: Dict[Node, Optional[Node]],
-    tree_parent: Dict[Node, Optional[Node]],
-    tree_dist: Dict[Node, Fraction],
-    mu_phase: Fraction,
-) -> bool:
-    """Run one end-of-phase radius/coverage update through
-    :func:`grow_radii`, writing the results back into the solver's
-    replicated per-node dicts. Returns False when the phase values
-    cannot be scaled (caller runs the python loops instead), and counts
-    that in ``run.declines``.
-
-    Byte-identical to the reference loops in
-    :func:`repro.core.distributed.distributed_moat_growing`: the same
-    nodes grow (covered members of ``sources``), the same nodes absorb
-    (non-sources with ``tree_dist ≤ µ``), with the same exact Fraction
-    values (de-scaled from the int64 grid).
-    """
-    entries = list(leftover.items()) + list(tree_dist.items()) + [
-        ("", mu_phase)
-    ]
-    scaled = scale_fractions([value for _, value in entries])
-    if scaled is None:
-        _decline(run, "unscalable phase values")
-        return False
-    npc = run.npc
-    values, denom = scaled
-    n = len(npc.order)
-    rank_of = npc.rank_of
-    num_leftover = len(leftover)
-    leftover_s = np.zeros(n, dtype=np.int64)
-    for (v, _), s in zip(entries[:num_leftover], values[:num_leftover]):
-        leftover_s[rank_of[v]] = s
-    dist_s = np.full(n, UNREACHED, dtype=np.int64)
-    for (v, _), s in zip(
-        entries[num_leftover:-1], values[num_leftover:-1]
-    ):
-        dist_s[rank_of[v]] = s
-    mu_s = values[-1]
-    grow_mask = np.zeros(n, dtype=bool)
-    for x in leftover:
-        if owner[x] is not None and x in sources:
-            grow_mask[rank_of[x]] = True
-    absorb_candidate = np.zeros(n, dtype=bool)
-    for x in tree_dist:
-        if x not in sources:
-            absorb_candidate[rank_of[x]] = True
-    new_leftover, absorbed = grow_radii(
-        leftover_s, grow_mask, dist_s, absorb_candidate, mu_s
-    )
-    for x in list(leftover):
-        r = rank_of[x]
-        if grow_mask[r]:
-            leftover[x] = Fraction(int(new_leftover[r]), denom)
-    for x in tree_dist:
-        r = rank_of[x]
-        if absorbed[r]:
-            owner[x] = tree_owner[x]
-            parent[x] = tree_parent[x]
-            leftover[x] = Fraction(int(new_leftover[r]), denom)
-    return True
+    return reduced

@@ -13,10 +13,11 @@ while the engine that turns the crank is swappable:
   compiled CSR-style integer-indexed topology (no per-round dict churn
   or node-object hashing on the hot path).
 * :mod:`repro.simbackend.npbackend` — the optional ``numpy`` tier's
-  message-level engine (flat-array execution with numpy flush
-  ordering); registered only when numpy imports, so the reference path
-  stays dependency-free. Its ledger-level counterpart is
-  :class:`repro.perf.npkernels.NumpyCongestRun`.
+  message-level engine: the flat-array engine under the ``numpy`` name
+  (node programs are arbitrary Python, so there is nothing to
+  vectorize); registered only when numpy imports, so the reference path
+  stays dependency-free. The tier's array kernels live at the ledger
+  level, in :class:`repro.perf.npkernels.NumpyCongestRun`.
 * :mod:`repro.simbackend.auto` — resolves to ``reference``,
   ``flatarray``, or ``numpy`` at bind time from the instance size (the
   measured crossovers), sharing its heuristic with the ledger-level

@@ -159,14 +159,6 @@ class FlatArrayBackend(SimulationBackend):
             self._halted[idx] = 1
             self._halted_count += 1
 
-    def _flush_order(self, sent: List[int]) -> List[int]:
-        """Touched edge ids in canonical flush order. Ascending eid is
-        ascending (sender key, receiver key) by construction; subclasses
-        may override with a faster integer sort (the numpy engine
-        does)."""
-        sent.sort()
-        return sent
-
     # -- execution -------------------------------------------------------
 
     @property
@@ -201,7 +193,10 @@ class FlatArrayBackend(SimulationBackend):
         run = self.run
         trace = self.trace
         removes_nodes = network.removes_nodes
-        sent = self._flush_order(self._sent)
+        # Ascending edge id is the canonical flush order: ascending
+        # (sender key, receiver key) by construction.
+        sent = self._sent
+        sent.sort()
         self._sent = []
         outbox = self._outbox_payload
         senders = self._eid_sender

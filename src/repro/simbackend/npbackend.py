@@ -1,49 +1,32 @@
 """The message-level face of the numpy tier.
 
 NodeProgram callbacks are arbitrary Python — there is nothing legal to
-vectorize inside ``on_round`` — so the numpy *message-level* engine
-inherits the flat-array machinery wholesale (compiled integer topology,
-O(1) sends, batched ledger charging) and swaps in numpy only where an
-array primitive genuinely wins: the per-round flush-order sort of
-touched edge ids, which dominates the routing cost on dense rounds.
-The real vectorization wins of the tier live at the *ledger* level
+vectorize inside ``on_round`` — so the numpy *message-level* engine is
+the flat-array engine under the ``numpy`` name. The tier's
+vectorization lives at the *ledger* level
 (:mod:`repro.perf.npkernels`), which :func:`repro.perf.make_ledger_run`
 selects for the same ``numpy`` backend spec — registering the name here
-keeps one ``--backend numpy`` valid across the whole stack, exactly
-like ``flatarray``.
+keeps one ``--backend numpy`` valid across the whole stack, with its
+own spec and cache key, exactly like ``flatarray``.
 
 This module imports numpy at module scope on purpose: with numpy absent
 the import fails and :mod:`repro.simbackend` simply does not register
 the tier, so ``numpy`` never appears in the registry and every spec
 naming it is rejected with the standard unknown-backend error.
 
-Conformance: the engine inherits the flatarray execution verbatim (the
-flush order is identical — ascending edge id either way), so the full
-cross-backend matrix (tests/test_simbackend_conformance.py) pins it
-byte-identical to reference like every other engine.
+Conformance: the engine is the flatarray execution verbatim, so the
+full cross-backend matrix (tests/test_simbackend_conformance.py) pins
+it byte-identical to reference like every other engine.
 """
 
-from typing import List
-
-import numpy as np
+import numpy  # noqa: F401  (the tier registers only when numpy imports)
 
 from repro.simbackend.base import register_backend
 from repro.simbackend.flatarray import FlatArrayBackend
 
-#: Below this many touched edges per round, list.sort() beats the
-#: ndarray round-trip; above it numpy's integer sort wins.
-_NP_SORT_MIN = 2048
-
 
 @register_backend
 class NumpyBackend(FlatArrayBackend):
-    """Flat-array execution with numpy-accelerated flush ordering."""
+    """Flat-array execution, registered under the numpy tier's name."""
 
     name = "numpy"
-
-    def _flush_order(self, sent: List[int]) -> List[int]:
-        """Ascending edge ids — via ``np.sort`` on dense rounds."""
-        if len(sent) >= _NP_SORT_MIN:
-            return np.sort(np.asarray(sent, dtype=np.int64)).tolist()
-        sent.sort()
-        return sent

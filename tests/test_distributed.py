@@ -1,14 +1,14 @@
 """Tests for the distributed deterministic algorithm (Theorem 4.17)."""
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from repro.congest import CongestRun
+from repro.congest.bellman_ford import bellman_ford
+from repro.core import distributed as distributed_module
 from repro.core import distributed_moat_growing, moat_growing
-from repro.core.distributed import merge_grid
 from repro.exact import steiner_forest_cost
 from repro.exceptions import SimulationError
 from repro.model import SteinerForestInstance
@@ -20,6 +20,21 @@ GOLDEN = json.loads(
     (Path(__file__).parent / "fixtures" / "distributed_merges_golden.json")
     .read_text()
 )
+
+LEDGERS = [
+    "reference",
+    "flatarray",
+    pytest.param("numpy", marks=pytest.mark.skipif(
+        not numpy_tier_available(),
+        reason="optional numpy extra not installed",
+    )),
+]
+
+
+def golden_instance(case):
+    return make_random_instance(
+        case["seed"], n_range=(8, 24), k_range=(2, 5), max_weight=50
+    )
 
 
 class TestCorrectness:
@@ -67,9 +82,7 @@ class TestCorrectness:
     def test_phase_bound_violation_is_loud(self, monkeypatch):
         """Lemma 4.4's guard fires past 2k phases and names the count."""
         case = next(c for c in GOLDEN if c["num_phases"] == 3)
-        inst = make_random_instance(
-            case["seed"], n_range=(8, 24), k_range=(2, 5), max_weight=50
-        )
+        inst = golden_instance(case)
         monkeypatch.setattr(
             SteinerForestInstance, "num_components", property(lambda self: 1)
         )
@@ -130,40 +143,38 @@ class TestRoundComplexity:
 
 
 class TestIntegerMergeGrid:
-    def test_grid_from_denominators_present(self):
-        values = [Fraction(1, 3), Fraction(5, 8), Fraction(7), Fraction(1, 2)]
-        assert merge_grid(values) == 48
-        assert merge_grid([]) == 2
-        assert merge_grid([Fraction(4)]) == 2
+    @pytest.mark.parametrize("ledger", LEDGERS)
+    def test_bellman_ford_sees_only_ints(self, ledger, monkeypatch):
+        """Every phase's Bellman–Ford starts at int distances and relaxes
+        int reduced weights, also on a run whose µ are half-integers."""
+        case = next(c for c in GOLDEN if c["seed"] == 7)
+        inst = golden_instance(case)
+        seen = []
 
-    def test_grid_keys_order_like_mu(self):
-        values = [Fraction(1, 3), Fraction(5, 8), Fraction(-2, 3), Fraction(3, 8)]
-        grid = merge_grid(values)
-        halves = sorted(
-            {(a + b + w) / 2 for a in values for b in values for w in (1, 2)}
+        def spy(graph, sources, run, edge_weight=None, **kwargs):
+            seen.extend(d0 for d0, _ in sources.values())
+            seen.extend(
+                edge_weight(u, v) for u in graph.nodes
+                for v in graph.neighbors(u)
+            )
+            return bellman_ford(
+                graph, sources, run, edge_weight=edge_weight, **kwargs
+            )
+
+        monkeypatch.setattr(distributed_module, "bellman_ford", spy)
+        dist = distributed_moat_growing(
+            inst, run=make_ledger_run(ledger, inst.graph)
         )
-        scaled = [mu * grid for mu in halves]
-        assert all(value.denominator == 1 for value in scaled)
-        assert scaled == sorted(scaled)
+        assert dist.num_phases == case["num_phases"]
+        assert any(m.mu.denominator == 2 for m in dist.merges)
+        assert seen and all(type(value) is int for value in seen)
 
-    @pytest.mark.parametrize(
-        "ledger",
-        [
-            "reference",
-            "flatarray",
-            pytest.param("numpy", marks=pytest.mark.skipif(
-                not numpy_tier_available(),
-                reason="optional numpy extra not installed",
-            )),
-        ],
-    )
+    @pytest.mark.parametrize("ledger", LEDGERS)
     def test_golden_merge_sequences(self, ledger):
         """Merge sequences recorded from the Fraction-keyed implementation
         (multi-phase instances, half-integer µ) are reproduced exactly."""
         for case in GOLDEN:
-            inst = make_random_instance(
-                case["seed"], n_range=(8, 24), k_range=(2, 5), max_weight=50
-            )
+            inst = golden_instance(case)
             dist = distributed_moat_growing(
                 inst, run=make_ledger_run(ledger, inst.graph)
             )
@@ -178,3 +189,83 @@ class TestIntegerMergeGrid:
                 case["rounds"], case["messages"]
             )
             assert dist.solution.weight == case["weight"]
+
+    @pytest.mark.parametrize("ledger", LEDGERS)
+    def test_grid_keys_order_like_mu(self, ledger):
+        """Int keys on the grid 1/(2·scale) order the candidates as their
+        µ do: within a phase the accepted µ never decrease, and every µ is
+        dyadic (a half-sum of integer weights and dyadic radii)."""
+        for case in GOLDEN:
+            inst = golden_instance(case)
+            dist = distributed_moat_growing(
+                inst, run=make_ledger_run(ledger, inst.graph)
+            )
+            by_phase = {}
+            for m in dist.merges:
+                by_phase.setdefault(m.phase, []).append(m.mu)
+            for mus in by_phase.values():
+                assert mus == sorted(mus), case["seed"]
+            for m in dist.merges:
+                den = m.mu.denominator
+                assert den & (den - 1) == 0, (case["seed"], m.mu)
+
+    @pytest.mark.skipif(
+        not numpy_tier_available(), reason="optional numpy extra not installed"
+    )
+    def test_grid_doubles_only_on_half_integer_mu(self, monkeypatch):
+        """The grid starts at scale 1 and doubles at a phase end exactly
+        when that phase's µ lies off the grid 1/scale."""
+        from repro.perf import npkernels
+
+        real = npkernels.scaled_reduced_weights
+        doubled = 0
+        for case in GOLDEN:
+            inst = golden_instance(case)
+            scales = []
+
+            def spy(run, leftover, scale):
+                scales.append(scale)
+                return real(run, leftover, scale)
+
+            monkeypatch.setattr(npkernels, "scaled_reduced_weights", spy)
+            dist = distributed_moat_growing(
+                inst, run=make_ledger_run("numpy", inst.graph)
+            )
+            assert len(scales) == dist.num_phases
+            phase_mu = {m.phase: m.mu for m in dist.merges}
+            assert scales[0] == 1
+            for phase, (scale, nxt) in enumerate(
+                zip(scales, scales[1:]), start=1
+            ):
+                off_grid = (phase_mu[phase] * scale).denominator != 1
+                assert nxt == (2 * scale if off_grid else scale), case["seed"]
+                doubled += off_grid
+        assert doubled  # the golden runs do cross a half-integer µ
+
+    @pytest.mark.skipif(
+        not numpy_tier_available(), reason="optional numpy extra not installed"
+    )
+    def test_numpy_reduced_weights_match_python_callable(self, monkeypatch):
+        """The numpy tier's Ŵ_j array agrees with the Python reduced
+        weight on every edge of every phase, across grid doublings."""
+        checked = 0
+
+        def spy(graph, sources, run, edge_weight=None, **kwargs):
+            nonlocal checked
+            np_scaled = edge_weight.np_scaled
+            for eid, (u, v) in enumerate(run.npc.canon_edges):
+                assert int(np_scaled[eid]) == edge_weight(u, v)
+                assert int(np_scaled[eid]) == edge_weight(v, u)
+            checked += 1
+            return bellman_ford(
+                graph, sources, run, edge_weight=edge_weight, **kwargs
+            )
+
+        monkeypatch.setattr(distributed_module, "bellman_ford", spy)
+        for case in GOLDEN:
+            inst = golden_instance(case)
+            dist = distributed_moat_growing(
+                inst, run=make_ledger_run("numpy", inst.graph)
+            )
+            assert [m.phase for m in dist.merges][-1] == dist.num_phases
+        assert checked == sum(case["num_phases"] for case in GOLDEN)

@@ -29,13 +29,10 @@ from repro.model.graph import WeightedGraph  # noqa: E402
 from repro.perf import make_ledger_run  # noqa: E402
 from repro.perf.fastpath import FastCongestRun  # noqa: E402
 from repro.perf.npkernels import (  # noqa: E402
-    INT64_LIMIT,
     NumpyCongestRun,
     NumpyTopology,
-    apply_radius_growth,
     assert_int64_bounds,
     gather_out_edges,
-    grow_radii,
     scale_fractions,
     scaled_reduced_weights,
 )
@@ -351,30 +348,16 @@ DECLINES = {
 }
 
 
-def _reduced_weights(weight, leftover):
+def _reduced_weights(weight, leftover, scale):
     run = NumpyCongestRun(_path(weight))
-    return run, scaled_reduced_weights(run, {"n00": leftover})
+    return run, scaled_reduced_weights(run, {"n00": leftover}, scale)
 
 
-def _radius_growth(leftover):
-    run = NumpyCongestRun(_path(1))
-    nodes = {v: None for v in run.graph.nodes}
-    grown = apply_radius_growth(
-        run, {"n00": leftover}, dict(nodes), dict(nodes), {}, {}, {}, {},
-        Fraction(1),
-    )
-    return run, grown
-
-
-#: One call per decline of the moat-phase kernels
-#: (``scaled_reduced_weights``, ``apply_radius_growth``): reason →
-#: a call returning (ledger, kernel result).
+#: One call per decline of the moat-phase kernel
+#: (``scaled_reduced_weights``): reason → a call returning
+#: (ledger, kernel result).
 PHASE_DECLINES = {
-    "unscalable leftovers": lambda: _reduced_weights(1, 0.5),
-    "reduced weights overflow": lambda: _reduced_weights(
-        2 ** 40, Fraction(1, 2 ** 30)
-    ),
-    "unscalable phase values": lambda: _radius_growth(0.5),
+    "reduced weights overflow": lambda: _reduced_weights(2 ** 40, 1, 2 ** 30),
 }
 
 
@@ -400,14 +383,16 @@ class TestDeclineCounts:
     @pytest.mark.parametrize("reason", sorted(PHASE_DECLINES))
     def test_each_phase_kernel_decline_is_counted(self, reason):
         run, result = PHASE_DECLINES[reason]()
-        assert result is None or result is False
+        assert result is None
         assert run.declines == {reason: 1}
 
     def test_accepted_phase_kernels_count_nothing(self):
-        run, result = _reduced_weights(3, Fraction(1, 2))
+        run, result = _reduced_weights(3, 1, 2)
         assert result is not None and not run.declines
-        run, grown = _radius_growth(Fraction(1, 2))
-        assert grown is True and not run.declines
+
+    def test_leftover_beyond_int64_covers_its_edges(self):
+        run, result = _reduced_weights(3, 2 ** 70, 1)
+        assert result.tolist() == [0, 3] and not run.declines
 
     def test_profile_reports_declines_and_plain_records_do_not_change(
         self, monkeypatch
@@ -433,16 +418,13 @@ class TestDeclineCounts:
 
         plain, profiled = records()
         assert "declines" not in profiled["profile"]
-        # Every kernel declines once nothing scales; results fall back.
+        # Bellman–Ford declines once nothing scales; results fall back.
         monkeypatch.setattr(npkernels, "scale_fractions", lambda values: None)
         plain_declined, profiled_declined = records()
         assert plain_declined == plain
         declines = profiled_declined["profile"]["declines"]
         assert declines and set(declines) <= set(DECLINES) | set(
             PHASE_DECLINES
-        )
-        assert {"unscalable leftovers", "unscalable phase values"} <= set(
-            declines
         )
         text = render_profile_report([profiled_declined])
         for reason, count in declines.items():
@@ -477,97 +459,26 @@ class TestArrayKernels:
             positions.tolist(), senders.tolist(), targets.tolist()
         )) == naive
 
-    @given(st.integers(0, 10 ** 6))
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 4]))
     @settings(max_examples=40, deadline=None)
-    def test_grow_radii_matches_python_loop(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 16)
-        leftover = np.asarray(
-            [rng.randint(0, 1000) for _ in range(n)], dtype=np.int64
-        )
-        dist = np.asarray(
-            [rng.randint(0, 1000) for _ in range(n)], dtype=np.int64
-        )
-        grow = np.asarray(
-            [rng.random() < 0.5 for _ in range(n)], dtype=bool
-        )
-        cand = np.asarray(
-            [rng.random() < 0.5 for _ in range(n)], dtype=bool
-        )
-        mu = rng.randint(0, 1000)
-        new_leftover, absorbed = grow_radii(leftover, grow, dist, cand, mu)
-        for i in range(n):
-            expected = leftover[i] + mu if grow[i] else leftover[i]
-            if cand[i] and dist[i] <= mu:
-                assert absorbed[i]
-                expected = mu - dist[i]
-            else:
-                assert not absorbed[i]
-            assert new_leftover[i] == expected
-
-    def test_grow_radii_rejects_out_of_bound_mu(self):
-        one = np.zeros(1, dtype=np.int64)
-        with pytest.raises(AssertionError, match="int64 bound"):
-            grow_radii(one, one.astype(bool), one, one.astype(bool),
-                       INT64_LIMIT)
-
-    @given(st.integers(0, 10 ** 6))
-    @settings(max_examples=20, deadline=None)
-    def test_apply_radius_growth_matches_python_loops(self, seed):
+    def test_scaled_reduced_weights_match_python(self, seed, scale):
+        """Ŵ_j of Definition 4.5, max(0, W − Σ_{l > 0} min(W, l)) in
+        exact Fractions, times ``scale`` on every canonical edge."""
         rng = random.Random(seed)
         graph = _build_graph("random", 10, seed, "small")
-        nodes = list(graph.nodes)
         run = NumpyCongestRun(graph)
-        covered = rng.sample(nodes, rng.randint(1, 6))
-        leftover = {
-            v: Fraction(rng.randint(0, 9), rng.choice([1, 2, 3]))
-            for v in covered
-        }
-        owner = {v: (v if v in covered else None) for v in nodes}
-        parent = {v: None for v in nodes}
-        sources = {v: None for v in covered if rng.random() < 0.8}
-        reached = rng.sample(nodes, rng.randint(0, len(nodes)))
-        tree_dist = {
-            v: Fraction(rng.randint(0, 9), rng.choice([1, 2, 3]))
-            for v in reached
-        }
-        tree_owner = {v: rng.choice(covered) for v in nodes}
-        tree_parent = {v: rng.choice(nodes) for v in nodes}
-        mu = Fraction(rng.randint(0, 9), rng.choice([1, 2, 3]))
-
-        # Reference loops on copies.
-        exp_leftover = dict(leftover)
-        exp_owner = dict(owner)
-        exp_parent = dict(parent)
-        for x, lo in list(exp_leftover.items()):
-            if exp_owner[x] is not None and x in sources:
-                exp_leftover[x] = lo + mu
-        for x, d in tree_dist.items():
-            if x in sources:
-                continue
-            if d <= mu:
-                exp_owner[x] = tree_owner[x]
-                exp_parent[x] = tree_parent[x]
-                exp_leftover[x] = mu - d
-
-        assert apply_radius_growth(
-            run, leftover, owner, parent, sources,
-            tree_owner, tree_parent, tree_dist, mu,
-        )
-        assert list(leftover.items()) == list(exp_leftover.items())
-        assert owner == exp_owner
-        assert parent == exp_parent
-
-    def test_apply_radius_growth_declines_unscalable(self):
-        graph = _build_graph("path", 4, 1, "small")
-        run = NumpyCongestRun(graph)
-        nodes = list(graph.nodes)
-        leftover = {nodes[0]: 0.5}  # float: not scalable
-        assert not apply_radius_growth(
-            run, leftover, {v: None for v in nodes},
-            {v: None for v in nodes}, {}, {}, {}, {}, Fraction(1),
-        )
-        assert leftover == {nodes[0]: 0.5}  # untouched on decline
+        covered = rng.sample(list(graph.nodes), rng.randint(0, 6))
+        leftover = {v: rng.randint(0, 8 * scale) for v in covered}
+        reduced = scaled_reduced_weights(run, leftover, scale)
+        assert not run.declines
+        for eid, (u, v) in enumerate(run.npc.canon_edges):
+            w = Fraction(graph.weight(u, v))
+            cov = sum(
+                (min(w, Fraction(leftover[x], scale))
+                 for x in (u, v) if leftover.get(x, 0) > 0),
+                Fraction(0),
+            )
+            assert int(reduced[eid]) == max(Fraction(0), w - cov) * scale
 
 
 # ---------------------------------------------------------------------
