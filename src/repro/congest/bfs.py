@@ -14,7 +14,8 @@ identifier announcer as its parent. It completes in D + O(1) rounds.
 from typing import Dict, List, Optional
 
 from repro.congest.run import CongestRun
-from repro.model.graph import Node, WeightedGraph
+from repro.exceptions import CongestViolationError
+from repro.model.graph import Edge, Node, WeightedGraph
 
 
 class BFSTree:
@@ -58,6 +59,30 @@ class BFSTree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BFSTree(root={self.root!r}, depth={self.depth})"
+
+
+class TreeUpEdges(Dict[Node, Edge]):
+    """child → the canonical edge to its tree parent, resolved against
+    ``run``'s graph on first use, so a convergecast can charge its
+    rounds through :meth:`~repro.congest.run.CongestRun.tick_edges`
+    without looking each pair up again. A tree edge that is not an edge
+    of the ledger's graph raises as :meth:`~repro.congest.run.
+    CongestRun.tick` would."""
+
+    def __init__(self, tree: BFSTree, run: CongestRun) -> None:
+        super().__init__()
+        self._parent = tree.parent
+        self._canon = run.graph.canonical_pairs()
+
+    def __missing__(self, v: Node) -> Edge:
+        pair = (v, self._parent[v])
+        edge = self._canon.get(pair)
+        if edge is None:
+            raise CongestViolationError(
+                "message over non-edge ({!r}, {!r})".format(*pair)
+            )
+        self[v] = edge
+        return edge
 
 
 def default_root(graph: WeightedGraph) -> Node:

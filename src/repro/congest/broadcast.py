@@ -7,11 +7,11 @@ round). All three primitives simulate the communication round-by-round and
 charge the enclosing :class:`~repro.congest.run.CongestRun`.
 """
 
-from bisect import insort
+from bisect import bisect_right, insort
 from collections import deque
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple, TypeVar
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple, TypeVar
 
-from repro.congest.bfs import BFSTree
+from repro.congest.bfs import BFSTree, TreeUpEdges
 from repro.congest.run import CongestRun
 from repro.model.graph import Node
 
@@ -125,48 +125,89 @@ def upcast_items(
     Returns the distinct items known to the root, in sorted order.
 
     Buffers are kept sorted incrementally: entries are ``(repr(item),
-    sequence, item)`` triples placed by ``insort``, ``repr`` computed
+    sequence, item)`` triples placed by binary search, ``repr`` computed
     once per item, and the global arrival sequence breaks ``repr`` ties
-    the way a stable per-round ``sorted(buffer, key=repr)`` would.
+    the way a stable per-round ``sorted(buffer, key=repr)`` would. A
+    buffer is made when its node first holds an item, and a round visits
+    only the ``pending`` nodes, those whose buffer may still hold an
+    unforwarded item, in tree order (which decides the arrival
+    sequence); each resumes its buffer scan where the last one stopped,
+    unless an arrival landed before that point. Every sender's
+    child→parent edge is resolved once and each round is charged
+    through :meth:`~repro.congest.run.CongestRun.tick_edges`.
     """
     if key is None:
         key = lambda item: item  # noqa: E731 - identity key
-    buffers: Dict[Node, List[Tuple[str, int, Item]]] = {
-        v: [] for v in tree.parent
-    }
-    seen: Dict[Node, Set[Hashable]] = {v: set() for v in tree.parent}
-    forwarded: Dict[Node, Set[Hashable]] = {v: set() for v in tree.parent}
+    buffers: Dict[Node, _UpcastBuffer] = {}
+
+    def buffer_of(v: Node) -> _UpcastBuffer:
+        buffer = buffers.get(v)
+        if buffer is None:
+            buffer = buffers[v] = _UpcastBuffer()
+        return buffer
+
     sequence = 0
     for v, items in local_items.items():
         for item in items:
-            k = key(item)
-            if k not in seen[v]:
-                seen[v].add(k)
-                insort(buffers[v], (repr(item), sequence, item))
+            buffer, k = buffer_of(v), key(item)
+            if k not in buffer.keys:
+                buffer.keys.add(k)
+                insort(buffer.entries, (repr(item), sequence, item))
                 sequence += 1
+    position = {v: i for i, v in enumerate(tree.parent)}
+    pending = {
+        v for v, buffer in buffers.items() if buffer.entries and v != tree.root
+    }
+    up_edges = TreeUpEdges(tree, run)
     while True:
-        traffic: Dict[Tuple[Node, Node], int] = {}
-        arrivals: List[Tuple[Node, str, Item]] = []
-        for v in tree.parent:
-            if v == tree.root:
+        sends: List[Tuple[Node, str, Item]] = []
+        for v in sorted(pending, key=position.__getitem__):
+            buffer = buffers[v]
+            entries, done = buffer.entries, buffer.forwarded
+            at = buffer.scan_from
+            while at < len(entries) and entries[at][1] in done:
+                at += 1
+            buffer.scan_from = at
+            if at == len(entries):
+                pending.discard(v)
                 continue
-            for item_repr, _, item in buffers[v]:
-                if key(item) not in forwarded[v]:
-                    break
-            else:
-                continue
-            parent = tree.parent[v]
-            assert parent is not None
-            forwarded[v].add(key(item))
-            traffic[(v, parent)] = 1
-            arrivals.append((parent, item_repr, item))
-        if not traffic:
+            item_repr, number, item = entries[at]
+            done.add(number)
+            sends.append((v, item_repr, item))
+        if not sends:
             break
-        run.tick(traffic)
-        for parent, item_repr, item in arrivals:
-            k = key(item)
-            if k not in seen[parent]:
-                seen[parent].add(k)
-                insort(buffers[parent], (item_repr, sequence, item))
+        run.tick_edges([up_edges[v] for v, _, _ in sends])
+        for v, item_repr, item in sends:
+            parent = tree.parent[v]
+            buffer, k = buffer_of(parent), key(item)
+            if k not in buffer.keys:
+                buffer.keys.add(k)
+                entry = (item_repr, sequence, item)
+                at = bisect_right(buffer.entries, entry)
+                buffer.entries.insert(at, entry)
                 sequence += 1
-    return [item for _, _, item in buffers[tree.root]]
+                if parent != tree.root:
+                    buffer.scan_from = min(buffer.scan_from, at)
+                    pending.add(parent)
+    root = buffers.get(tree.root)
+    return [item for _, _, item in root.entries] if root else []
+
+
+class _UpcastBuffer:
+    """One node's state in :func:`upcast_items`, made on first use.
+
+    Attributes:
+        entries: the ``(repr(item), sequence, item)`` triples held,
+            sorted.
+        keys: the keys of the items held.
+        forwarded: the sequence numbers of the entries already sent.
+        scan_from: every entry before this index is forwarded.
+    """
+
+    __slots__ = ("entries", "keys", "forwarded", "scan_from")
+
+    def __init__(self) -> None:
+        self.entries: List[Tuple[str, int, Any]] = []
+        self.keys: Set[Hashable] = set()
+        self.forwarded: Set[int] = set()
+        self.scan_from = 0

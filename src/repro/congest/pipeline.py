@@ -19,7 +19,7 @@ surviving merges have reached the root, giving O(D + |result|) rounds overall
 
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
-from repro.congest.bfs import BFSTree
+from repro.congest.bfs import BFSTree, TreeUpEdges
 from repro.congest.run import CongestRun
 from repro.model.graph import Node
 from repro.perf.profiler import maybe_span
@@ -90,9 +90,18 @@ def pipelined_filtered_upcast(
     equal keys share a rank), so the per-node state is integers only: a
     node keeps the first item to arrive for each rank (both directions
     of an edge may carry the same key) and its surviving ranks in
-    ascending order, and the Kruskal filter runs over integer component
-    ids and stops once every component is joined. All ledgers take this
-    one path.
+    ascending order; each arrival re-runs the node's Kruskal filter over
+    its survivors and the fresh ranks, over integer component ids, and
+    the filter stops once every component is joined. A round visits
+    only the nodes that may still have something to announce, and
+    charges the senders' tree edges, resolved once, through
+    :meth:`~repro.congest.run.CongestRun.tick_edges`. All ledgers take
+    this one path.
+
+    The cost is per pooled item, so a caller that knows a node's entry
+    filter discards an item should not pass it: the distributed solver
+    hands over only each node's least candidate per other moat
+    component (:mod:`repro.core.distributed`, step (b)).
     """
     profiler = getattr(run, "profiler", None)
     with maybe_span(profiler, "pipelined-upcast"):
@@ -125,17 +134,20 @@ def _pipelined_filtered_upcast(
     ends = [(entity_id[item.a], entity_id[item.b]) for item in pooled]
     joins_needed = len(component_id) - 1
 
-    # seen[v]: rank → pooled index of the first item of that key to reach v.
-    seen: Dict[Node, Dict[int, int]] = {v: {} for v in tree.parent}
+    # Per-node state, only for the nodes that hold or receive items.
+    buffers: Dict[Node, _Buffer] = {}
     index = 0
     for v, items in local_items.items():
+        first = buffers.setdefault(v, _Buffer()).first
         for _ in items:
-            seen[v].setdefault(rank[index], index)
+            first.setdefault(rank[index], index)
             index += 1
+    root = buffers.setdefault(tree.root, _Buffer())
 
-    def kruskal(v: Node, ranks: List[int]) -> List[int]:
-        """The ranks (ascending) that keep v's merges cycle-free."""
-        first = seen[v]
+    def kruskal(buffer: _Buffer, ranks: List[int]) -> None:
+        """Set ``buffer.kept`` to the ascending ``ranks`` that keep the
+        node's merges cycle-free."""
+        first = buffer.first
         parent: Dict[int, int] = {}  # component roots are absent
         kept: List[int] = []
         for r in ranks:
@@ -151,20 +163,21 @@ def _pipelined_filtered_upcast(
             if x != y:
                 parent[x] = y
                 kept.append(r)
-        return kept
+        buffer.kept, buffer.scan_from = kept, 0
 
-    # alive[v]: the cycle-free merges among all v has seen. Adding merges
-    # never revives a discarded one (the discarded merge still closes its
-    # cycle), so arrivals are filtered together with alive[v] alone.
-    alive = {v: kruskal(v, sorted(first)) for v, first in seen.items()}
-    # scan_from[v] skips the announced prefix of an unchanged alive[v];
-    # pending holds the nodes that may still have something to announce.
-    announced: Dict[Node, Set[int]] = {v: set() for v in tree.parent}
-    scan_from = dict.fromkeys(tree.parent, 0)
-    position = {v: i for i, v in enumerate(tree.parent)}
-    pending = {v for v, kept in alive.items() if kept and v != tree.root}
+    for buffer in buffers.values():
+        kruskal(buffer, sorted(buffer.first))
+    # pending: tree positions of the nodes that may still have something
+    # to announce; senders go in tree order.
+    nodes = list(tree.parent)
+    position = {v: i for i, v in enumerate(nodes)}
+    pending = {
+        position[v]
+        for v, buffer in buffers.items()
+        if buffer.kept and v != tree.root
+    }
+    up_edges = TreeUpEdges(tree, run)
 
-    root_seen = seen[tree.root]
     checked = 0
 
     def stop_at(kept: List[int], finalized: int) -> Optional[List[MergeItem]]:
@@ -172,7 +185,7 @@ def _pipelined_filtered_upcast(
         nonlocal checked
         if stop_predicate is None or finalized <= checked:
             return None
-        prefix = [pooled[root_seen[r]] for r in kept[:finalized]]
+        prefix = [pooled[root.first[r]] for r in kept[:finalized]]
         for cut in range(checked + 1, finalized + 1):
             if stop_predicate(prefix[:cut]):
                 return prefix[:cut]
@@ -182,10 +195,9 @@ def _pipelined_filtered_upcast(
     rounds_in_primitive = 0
     while True:
         # Root-side early stop on the finalized prefix.
-        root_alive = alive[tree.root]
         stopped = stop_at(
-            root_alive,
-            min(max(0, rounds_in_primitive - tree.depth), len(root_alive)),
+            root.kept,
+            min(max(0, rounds_in_primitive - tree.depth), len(root.kept)),
         )
         if stopped is not None:
             run.charge_rounds(
@@ -193,21 +205,23 @@ def _pipelined_filtered_upcast(
             )
             return stopped
 
-        # Senders go in tree order: it decides which of two equal keys
-        # reaching one parent in the same round arrives first.
-        arrivals: List[Tuple[Node, Node, int, int]] = []
-        for v in sorted(pending, key=position.__getitem__):
-            kept, done = alive[v], announced[v]
-            at = scan_from[v]
+        # Tree order decides which of two equal keys reaching one parent
+        # in the same round arrives first.
+        arrivals: List[Tuple[Node, int, int]] = []
+        for at_position in sorted(pending):
+            v = nodes[at_position]
+            buffer = buffers[v]
+            kept, done = buffer.kept, buffer.announced
+            at = buffer.scan_from
             while at < len(kept) and kept[at] in done:
                 at += 1
-            scan_from[v] = at
+            buffer.scan_from = at
             if at == len(kept):
-                pending.discard(v)
+                pending.discard(at_position)
                 continue
             r = kept[at]
             done.add(r)
-            arrivals.append((v, tree.parent[v], r, seen[v][r]))
+            arrivals.append((v, r, buffer.first[r]))
 
         if not arrivals:
             # Sends depend only on the alive lists and the announced sets,
@@ -218,22 +232,47 @@ def _pipelined_filtered_upcast(
             run.charge_rounds(
                 tree.depth, "termination detection (Lemma 4.14)"
             )
-            final = alive[tree.root]
-            stopped = stop_at(final, len(final))
+            stopped = stop_at(root.kept, len(root.kept))
             if stopped is not None:
                 return stopped
-            return [pooled[root_seen[r]] for r in final]
+            return [pooled[root.first[r]] for r in root.kept]
 
         rounds_in_primitive += 1
-        run.tick({(v, p): 1 for v, p, _, _ in arrivals})
+        run.tick_edges([up_edges[v] for v, _, _ in arrivals])
         fresh: Dict[Node, List[int]] = {}
-        for _, parent, r, index in arrivals:
-            first = seen[parent]
-            if r not in first:
-                first[r] = index
+        for v, r, index in arrivals:
+            parent = tree.parent[v]
+            buffer = buffers.get(parent)
+            if buffer is None:
+                buffer = buffers[parent] = _Buffer()
+            if r not in buffer.first:
+                buffer.first[r] = index
                 fresh.setdefault(parent, []).append(r)
         for v, ranks in fresh.items():
-            alive[v] = kruskal(v, sorted(alive[v] + ranks))
-            scan_from[v] = 0
+            buffer = buffers[v]
+            kruskal(buffer, sorted(buffer.kept + ranks))
             if v != tree.root:
-                pending.add(v)
+                pending.add(position[v])
+
+
+class _Buffer:
+    """One node's state in the filtered upcast, over integer ranks.
+
+    Attributes:
+        first: rank → pooled index of the first item of that key to
+            reach the node.
+        kept: the cycle-free merges among all the node has seen,
+            ascending. Adding merges never revives a discarded one (the
+            discarded merge still closes its cycle), so arrivals are
+            filtered together with ``kept`` alone.
+        announced: the ranks already sent to the parent.
+        scan_from: every rank of ``kept`` before this index is announced.
+    """
+
+    __slots__ = ("first", "kept", "announced", "scan_from")
+
+    def __init__(self) -> None:
+        self.first: Dict[int, int] = {}
+        self.kept: List[int] = []
+        self.announced: Set[int] = set()
+        self.scan_from = 0

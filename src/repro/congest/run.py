@@ -10,7 +10,7 @@ graph cut (the Alice–Bob cut of the Section 3 lower-bound gadgets).
 
 import math
 from collections import Counter
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Collection, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.exceptions import CongestViolationError, SimulationError
 from repro.model.graph import Edge, Node, WeightedGraph, canonical_edge
@@ -127,23 +127,29 @@ class CongestRun:
         neighbors in ``graph``.
 
         One message per edge direction holds by construction. On the
-        ledger's own graph the charge skips validation and applies each
-        sender's cached canonical out-edges in bulk; a primitive running
-        on another graph (a subgraph, such as the F-subgraph of
-        Lemma G.12) has every pair validated against the ledger's graph,
-        exactly as :meth:`tick` would.
+        ledger's own graph the charge skips validation: each sender's
+        cached canonical out-edges go to :meth:`tick_edges` in one list.
+        A primitive running on another graph (a subgraph, such as the
+        F-subgraph of Lemma G.12) has every pair validated against the
+        ledger's graph, exactly as :meth:`tick` would.
         """
         if senders is None:
             senders = graph.nodes
         if graph is not self.graph:
             self.tick({(u, v): 1 for u in senders for v in graph.neighbors(u)})
             return
-        self._advance_round()
         out_edges = graph.out_edges
-        edges = [edge for u in senders for edge in out_edges(u)]
-        self.charge_messages(edges)
+        self.tick_edges([edge for u in senders for edge in out_edges(u)])
 
-    def charge_messages(self, canonical_edges: Iterable[Edge]) -> None:
+    def tick_edges(self, canonical_edges: Collection[Edge]) -> None:
+        """Advance one round delivering one message over each entry of
+        ``canonical_edges``, pre-validated as :meth:`charge_messages`
+        requires (a tree primitive resolves each child→parent edge once
+        and charges every round of its convergecast through here)."""
+        self._advance_round()
+        self.charge_messages(canonical_edges)
+
+    def charge_messages(self, canonical_edges: Collection[Edge]) -> None:
         """Batch-charge pre-validated traffic for the current round.
 
         One message per entry; each entry must already be a canonical
@@ -152,11 +158,12 @@ class CongestRun:
         guarantees this structurally, so re-validating per message would
         only re-pay the cost :meth:`tick` exists to amortize). Keeps the
         charging rules (message count + per-edge counters) owned by the
-        ledger, with the same end state as ``tick(traffic)``.
+        ledger, with the same end state as ``tick(traffic)``. The
+        argument must be sized (a list, a tuple): anything else raises
+        :class:`TypeError` before the ledger changes.
         """
-        edges = list(canonical_edges)
-        self.edge_messages.update(edges)
-        count = len(edges)
+        count = len(canonical_edges)
+        self.edge_messages.update(canonical_edges)
         self.messages += count
         if self.profiler is not None and count:
             self.profiler.add_messages(count)

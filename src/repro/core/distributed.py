@@ -13,7 +13,12 @@ The algorithm emulates the centralized Algorithm 1 phase by phase:
    b. every node exchanges its tree owner with its neighbors (1 round) and
       proposes *candidate merges* for edges crossing between trees
       (Definition 4.11) — the candidate weight is the moat growth µ at
-      which the two balls would meet along that edge;
+      which the two balls would meet along that edge. Each node x keeps
+      only its least candidate (µ, then the owner pair, then the edge)
+      per other moat, and none between two terminals of one moat: every
+      candidate at x has x's tree owner as one end, so step (c)'s entry
+      filter at x would discard exactly the others, and a discarded
+      merge is never announced;
    c. the candidates are piped up the BFS tree with Kruskal-style cycle
       filtering, stopping at the first activity-changing merge
       (Lemma 4.14 / Corollary 4.16; O(D + |F_c^{(j)}|) rounds, measured);
@@ -231,11 +236,13 @@ def distributed_moat_growing(
     # ------------------------------------------------------------------
     run.set_phase("setup")
     tree = build_bfs_tree(graph, run)
+    labels = instance.labels
     terminal_labels = upcast_items(
         tree,
         {
-            v: ([(v, instance.label(v))] if instance.label(v) is not None else [])
+            v: [(v, labels[v])]
             for v in graph.nodes
+            if labels.get(v) is not None
         },
         run,
     )
@@ -257,7 +264,13 @@ def distributed_moat_growing(
     forest_edges: Set[Edge] = set()
     phase = 0
     max_phases = 2 * max(1, instance.num_components)
-    terminal_repr = {t: repr(t) for t in instance.terminals}
+    # Lemma 4.13's tie-break compares owner pairs by repr: rank the
+    # terminals by repr (equal reprs share a rank), so that a pair
+    # orders as its int code does.
+    by_repr = sorted({repr(t) for t in instance.terminals})
+    repr_rank = {r: i for i, r in enumerate(by_repr)}
+    terminal_rank = {t: repr_rank[repr(t)] for t in instance.terminals}
+    num_ranks = len(by_repr)
     edges = graph.edges()
     edge_repr: Dict[Edge, str] = {}
     while state.has_active():
@@ -336,7 +349,10 @@ def distributed_moat_growing(
         # --------------------------------------------------------------
         # Step (b): one round of owner exchange, then local candidate
         # construction for cross-tree edges, keyed on the grid
-        # 1/(2·scale): the key is µ·2·scale.
+        # 1/(2·scale): the key is µ·2·scale. Every candidate stored at
+        # node a has a's tree owner as its first end, so a's entry filter
+        # in step (c) keeps exactly its least candidate per other moat
+        # component; only those are built.
         # --------------------------------------------------------------
         run.tick_neighbors(graph)
         psi = {
@@ -345,38 +361,56 @@ def distributed_moat_growing(
             if own is not None
         }
         active = {t: state.is_active(t) for t in instance.terminals}
-        local_candidates: Dict[Node, List[MergeItem]] = {
-            v: [] for v in graph.nodes
-        }
-        for x, y, w in edges:
-            ox, oy = tree_owner[x], tree_owner[y]
-            if ox is None or oy is None or ox == oy:
-                continue
-            edge = (x, y)  # graph.edges() is in canonical order
-            rx, ry = terminal_repr[ox], terminal_repr[oy]
-            pair = (rx, ry) if rx <= ry else (ry, rx)
+        base = state.component_map()
+        moat = {x: base[own] for x, own in tree_owner.items() if own is not None}
+
+        def order(key: int, a: Node, b: Node, edge: Edge) -> tuple:
+            """The full candidate key: µ, then the owner pair, then the
+            edge (Lemma 4.13's tie-break)."""
+            ra, rb = terminal_rank[tree_owner[a]], terminal_rank[tree_owner[b]]
+            pair = ra * num_ranks + rb if ra <= rb else rb * num_ranks + ra
             er = edge_repr.get(edge)
             if er is None:
                 er = edge_repr[edge] = repr(edge)
+            return (key, pair, er)
+
+        # (node a, moat of b) → (key, b, edge) of a's least candidate.
+        least: Dict[Tuple[Node, Node], Tuple[int, Node, Edge]] = {}
+        for x, y, w in edges:
+            mx, my = moat.get(x), moat.get(y)
+            if mx is None or my is None or mx == my:
+                continue  # no owner, or one moat already: a cycle anywhere
+            edge = (x, y)  # graph.edges() is in canonical order
             ws = w * scale
-            for a, b, oa, ob in ((x, y, ox, oy), (y, x, oy, ox)):
-                if not active[oa]:
+            for a, b, ma, mb in ((x, y, mx, my), (y, x, my, mx)):
+                if not active[ma]:
                     continue  # Definition 4.11 requires the active side
-                if active[ob]:
+                if active[mb]:
                     key = ws + psi[a] + psi[b]
                 else:
                     key = 2 * (ws + psi[a] - leftover.get(b, 0))
-                local_candidates[a].append(
-                    MergeItem(
-                        key=(key, pair, er), a=oa, b=ob, payload=(edge, a, b)
-                    )
+                best = least.get((a, mb))
+                if (
+                    best is None
+                    or key < best[0]
+                    or key == best[0]
+                    and order(key, a, b, edge) < order(key, a, *best[1:])
+                ):
+                    least[(a, mb)] = (key, b, edge)
+        local_candidates: Dict[Node, List[MergeItem]] = {}
+        for (a, _), (key, b, edge) in least.items():
+            local_candidates.setdefault(a, []).append(
+                MergeItem(
+                    key=order(key, a, b, edge),
+                    a=tree_owner[a],
+                    b=tree_owner[b],
+                    payload=(edge, a, b),
                 )
+            )
 
         # --------------------------------------------------------------
         # Step (c): pipelined filtered collection with phase-end stop.
         # --------------------------------------------------------------
-        base = state.component_map()
-
         def phase_ends_with(prefix: List[MergeItem]) -> bool:
             sim = state.clone()
             changed = False

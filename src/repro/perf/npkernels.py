@@ -43,7 +43,7 @@ dependency-free.
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -308,6 +308,16 @@ class NumpyCongestRun(FastCongestRun):
         # The base constructor assigns the initial empty Counter through
         # this setter (before the pending array exists).
         self._edge_counter = value
+
+    def charge_messages(self, canonical_edges: Collection[Edge]) -> None:
+        """:meth:`CongestRun.charge_messages` straight into the Counter:
+        charging through ``edge_messages`` would fold the pending array
+        on every Python-path charge after a kernel's, not once on read."""
+        count = len(canonical_edges)
+        self._edge_counter.update(canonical_edges)
+        self.messages += count
+        if self.profiler is not None and count:
+            self.profiler.add_messages(count)
 
     def charge_eids(self, eids: np.ndarray) -> None:
         """Batch-charge one message per canonical-edge id (repeats

@@ -249,12 +249,11 @@ class FlatArrayBackend(SimulationBackend):
         # Charge the ledger only after the whole flush succeeded —
         # reference calls run.tick(traffic) after _flush_outbox, so a
         # network model raising mid-flush (e.g. strict BandwidthCap)
-        # must leave the ledger untouched here too. tick() advances the
-        # round; charge_messages applies the precomputed canonical
-        # edges — the same end state as tick(traffic).
-        run.tick()
+        # must leave the ledger untouched here too. tick_edges advances
+        # the round and applies the precomputed canonical edges — the
+        # same end state as tick(traffic).
         sent_count = len(charged)
-        run.charge_messages(canon[eid] for eid in charged)
+        run.tick_edges([canon[eid] for eid in charged])
         # Delivery: group due messages into per-receiver inboxes.
         nodes = self._nodes
         inboxes: Dict[int, List[Tuple[Node, Any]]] = {}

@@ -1,5 +1,6 @@
 """Tests for the distributed deterministic algorithm (Theorem 4.17)."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,6 +10,9 @@ from repro.congest import CongestRun
 from repro.congest.bellman_ford import bellman_ford
 from repro.core import distributed as distributed_module
 from repro.core import distributed_moat_growing, moat_growing
+from repro.engine.jobs import expand_jobs
+from repro.engine.registry import ScenarioSpec
+from repro.engine.runner import build_instance
 from repro.exact import steiner_forest_cost
 from repro.exceptions import SimulationError
 from repro.model import SteinerForestInstance
@@ -269,3 +273,43 @@ class TestIntegerMergeGrid:
             )
             assert [m.phase for m in dist.merges][-1] == dist.num_phases
         assert checked == sum(case["num_phases"] for case in GOLDEN)
+
+
+#: sha256 of (weight, rounds, messages, sorted per-edge traffic, merge
+#: sequence) of the gnp n=512 clustered run below, recorded before the
+#: candidate merges were filtered at the node that makes them.
+GNP512_CLUSTERED_DIGEST = (
+    "c4e58589071754207fef3d002cc6c5a1fe1e6065ee6703b33045d8da50cda584"
+)
+
+
+@pytest.fixture(scope="module")
+def gnp512_clustered():
+    spec = ScenarioSpec(
+        name="gnp512-clustered", family="gnp", algorithms=("distributed",),
+        grid={"n": 512, "p": 0.016, "k": 8, "component_size": 2,
+              "placement": "clustered"},
+        seeds=1,
+    )
+    return build_instance(expand_jobs(spec)[0])
+
+
+@pytest.mark.parametrize("ledger", LEDGERS)
+def test_multi_phase_run_at_scale_is_pinned(gnp512_clustered, ledger):
+    """One merge phase per component at n = 512 (clustered components
+    close one by one): the merge sequence and the ledger stay exactly as
+    recorded, on every ledger."""
+    inst = gnp512_clustered
+    dist = distributed_moat_growing(
+        inst, run=make_ledger_run(ledger, inst.graph)
+    )
+    run = dist.run
+    assert (dist.num_phases, run.rounds) == (8, 254)
+    record = (
+        dist.solution.weight, run.rounds, run.messages,
+        sorted(run.edge_messages.items()),
+        [(m.phase, str(m.mu), m.terminal_a, m.terminal_b, m.edge, m.path)
+         for m in dist.merges],
+    )
+    digest = hashlib.sha256(repr(record).encode()).hexdigest()
+    assert digest == GNP512_CLUSTERED_DIGEST

@@ -501,6 +501,21 @@ class TestNumpyCongestRun:
         # Folding is idempotent: a second read adds nothing.
         assert run.edge_messages[npc.canon_edges[0]] == 2
 
+    def test_python_charges_leave_kernel_charges_pending(self):
+        # charge_messages adds to the Counter without folding the array:
+        # the two meet on the first read, and sum.
+        graph = _build_graph("path", 4, 1, "small")
+        run = NumpyCongestRun(graph)
+        npc = run.npc
+        run.tick()
+        run.charge_eids(np.asarray([0, 1], dtype=np.int64))
+        run.tick_edges([npc.canon_edges[0], npc.canon_edges[2]])
+        assert run._pending_dirty
+        assert run.messages == 4
+        assert dict(run.edge_messages) == {
+            npc.canon_edges[0]: 2, npc.canon_edges[1]: 1, npc.canon_edges[2]: 1
+        }
+
     def test_rejects_foreign_numpy_topology(self):
         graph_a = _build_graph("path", 4, 1, "small")
         graph_b = _build_graph("path", 4, 2, "small")

@@ -6,8 +6,13 @@ that re-sorts every buffer every round, and every cut of the finalized
 prefix offered to the stop predicate every round. The production
 primitive ranks keys once and runs on integers; on random BFS trees it
 must return the very same item objects and leave the ledger in the very
-same state (rounds, messages, per-edge traffic, phase rounds) on both the
-reference and the flatarray ledger.
+same state (rounds, messages, per-edge traffic, phase rounds) on the
+reference, flatarray and numpy ledgers.
+
+A second property pins the fact the distributed solver's node-side
+filter rests on: when equal keys always join the same two entities (as
+a candidate's key names its edge), dropping the items a node's own entry
+filter discards changes nothing the primitive returns or charges.
 """
 
 import random
@@ -20,6 +25,7 @@ from repro.congest import CongestRun, build_bfs_tree
 from repro.congest.pipeline import MergeItem, pipelined_filtered_upcast
 from repro.model import WeightedGraph
 from repro.perf import FastCongestRun
+from repro.simbackend import numpy_tier_available
 from repro.util import UnionFind
 
 
@@ -168,10 +174,23 @@ def _compare(tree, graph, items, base, stop, ledger):
     return expected
 
 
-LEDGERS = [CongestRun, FastCongestRun]
+def _numpy_run(graph):
+    from repro.perf.npkernels import NumpyCongestRun
+
+    return NumpyCongestRun(graph)
 
 
-@pytest.mark.parametrize("ledger", LEDGERS, ids=["reference", "flatarray"])
+LEDGERS = [
+    pytest.param(CongestRun, id="reference"),
+    pytest.param(FastCongestRun, id="flatarray"),
+    pytest.param(_numpy_run, id="numpy", marks=pytest.mark.skipif(
+        not numpy_tier_available(),
+        reason="optional numpy extra not installed",
+    )),
+]
+
+
+@pytest.mark.parametrize("ledger", LEDGERS)
 @pytest.mark.parametrize("seed", range(60))
 def test_matches_reference_on_random_trees(seed, ledger):
     rng = random.Random(seed)
@@ -185,7 +204,85 @@ def test_matches_reference_on_random_trees(seed, ledger):
     _compare(tree, graph, items, base, _stop_predicate(rng), ledger)
 
 
-@pytest.mark.parametrize("ledger", LEDGERS, ids=["reference", "flatarray"])
+def _keyed_items(rng, graph, entities, key_values, per_node):
+    """Like :func:`_random_items`, but every key joins one fixed pair of
+    entities (in either direction), as a candidate merge's key names
+    its edge and so its two moats."""
+    ends = {}
+    items = {}
+    for v in graph.nodes:
+        count = rng.randint(0, per_node)
+        if not count:
+            continue
+        items[v] = []
+        for _ in range(count):
+            key = (Fraction(rng.randint(0, key_values), rng.choice([1, 2, 3])),
+                   rng.randint(0, 2))
+            if key not in ends:
+                ends[key] = (rng.choice(entities), rng.choice(entities))
+            a, b = ends[key]
+            if rng.random() < 0.5:
+                a, b = b, a
+            items[v].append(MergeItem(key, a, b, payload=object()))
+    return items
+
+
+def _entry_survivors(items, base_component):
+    """The items a node's entry filter keeps: the first item per key,
+    then the ones that stay cycle-free in key order."""
+    first = {}
+    for item in items:
+        first.setdefault(item.key, item)
+    kept = {id(item) for item in _kruskal_filter(first.values(), base_component)}
+    return [item for item in items if id(item) in kept]
+
+
+def _keyed_case(seed):
+    rng = random.Random(1000 + seed)
+    graph, tree = _random_tree(rng)
+    entities = [f"e{i}" for i in range(rng.randint(2, 8))]
+    items = _keyed_items(
+        rng, graph, entities, key_values=rng.choice([0, 1, 6, 40]),
+        per_node=rng.choice([1, 3, 6]),
+    )
+    base = _random_base(rng, entities) if rng.random() < 0.6 else {}
+    return rng, graph, tree, items, base
+
+
+@pytest.mark.parametrize("ledger", LEDGERS)
+@pytest.mark.parametrize("seed", range(40))
+def test_entry_filtered_items_change_nothing(seed, ledger):
+    """A merge its own node's entry filter discards is never announced,
+    and a later arrival of its key closes the same cycle: handing the
+    primitive only each node's survivors returns the same items and
+    leaves the same ledger."""
+    rng, graph, tree, items, base = _keyed_case(seed)
+    survivors = {v: _entry_survivors(vs, base) for v, vs in items.items()}
+    stop = _stop_predicate(rng)
+    full_run, filtered_run = ledger(graph), ledger(graph)
+    for run in (full_run, filtered_run):
+        run.set_phase("upcast")
+    full = pipelined_filtered_upcast(tree, items, base, full_run, stop)
+    filtered = pipelined_filtered_upcast(
+        tree, survivors, base, filtered_run, stop
+    )
+    assert len(filtered) == len(full)
+    assert all(f is g for f, g in zip(filtered, full))
+    assert _ledger_state(filtered_run) == _ledger_state(full_run)
+
+
+def test_entry_filter_drops_items_in_the_property():
+    """The property above is not vacuous: its inputs lose items."""
+    dropped = 0
+    for seed in range(40):
+        _, _, _, items, base = _keyed_case(seed)
+        dropped += sum(
+            len(vs) - len(_entry_survivors(vs, base)) for vs in items.values()
+        )
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("ledger", LEDGERS)
 class TestOracleCases:
     def _grid(self):
         graph = WeightedGraph.from_networkx(nx.grid_2d_graph(4, 5))
