@@ -22,7 +22,7 @@ from repro.engine.store import SCHEMA_VERSION, ResultStore
 from repro.exceptions import WorkerCrashError
 from repro.model.instance import SteinerForestInstance
 from repro.netmodel import build_network_model
-from repro.perf import PhaseProfiler, make_ledger_run
+from repro.perf import PhaseProfiler, make_ledger_run, maybe_span
 from repro.workloads import place_terminals
 
 #: Result attributes promoted to metrics whenever the solver exposes them.
@@ -62,16 +62,20 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
     With ``job.profile`` set, a :class:`~repro.perf.PhaseProfiler`
     rides along (attached to the ledger for run-accepting solvers, as
     wall-time spans for centralized ones) and the record gains a
-    ``profile`` field; profiling never changes the computation. A
+    ``profile`` field; profiling never changes the computation. Its
+    first row, ``build_instance``, times the instance build, which
+    ``metrics.wall_time`` (the solve) leaves out; what runs between the
+    build and the solver's first phase lands on the unattributed row. A
     numpy-tier ledger's kernel declines, when there are any, ride in
     that field as ``declines`` (reason → count).
     """
     job = Job.from_dict(job_dict)
-    instance = build_instance(job)
+    profiler = PhaseProfiler() if job.profile else None
+    with maybe_span(profiler, "build_instance"):
+        instance = build_instance(job)
     algorithm = ALGORITHMS[job.algorithm]
     rng = random.Random(job.algorithm_seed())
     kwargs: Dict[str, Any] = dict(job.algo_params)
-    profiler = PhaseProfiler() if job.profile else None
     ledger = None
     # Ledger construction is inside the timed window: the flatarray/auto
     # engines pay their topology compile there, so stored wall_time rows

@@ -7,8 +7,14 @@ geometric graphs (locality), and ring-of-blobs constructions whose
 shortest-path diameter s is directly controllable.
 """
 
+import math
 import random
-from typing import List, Tuple
+import sys
+import threading
+from array import array
+from itertools import combinations
+from types import ModuleType
+from typing import Collection, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
@@ -17,9 +23,9 @@ from repro.model.instance import SteinerForestInstance, instance_from_components
 
 
 def ensure_connected(graph: "nx.Graph") -> "nx.Graph":
-    """Connectivity fallback shared by the random generators: overlay a
-    Hamiltonian path over the integer node labels when the sampled graph
-    is disconnected.
+    """Connectivity fallback of the networkx-sampled generators: overlay
+    a Hamiltonian path over the integer node labels when the sampled
+    graph is disconnected.
 
     The composed graph keeps every sampled edge and node attribute; the
     caller assigns weights *after* the fallback, so path edges always
@@ -41,61 +47,182 @@ def ensure_connected(graph: "nx.Graph") -> "nx.Graph":
     return graph
 
 
-#: Coin flips drawn per ``getrandbits`` call in :func:`_gnp` (two MT
-#: words each, so one chunk is a 128 KiB integer). 2^16 was as fast at
-#: n = 2048 but raised the peak RSS of building the graph by 1 MB.
+def _numpy() -> Optional[ModuleType]:
+    """The numpy module, or None where the optional extra is missing."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
+
+
+#: Coin flips drawn per ``random_raw`` call in :func:`_gnp_numpy` (two
+#: MT words each). 2^16 was as fast at n = 2048 but raised the peak RSS
+#: of building the graph by 1 MB.
 _GNP_CHUNK = 1 << 14
 
-#: Fewest coin flips (at least 1) that :func:`_gnp` draws in bulk. The
-#: bulk draw's fixed numpy cost, about 30 µs, outweighs its saving of
-#: about 0.07 µs per coin up to n ≈ 32 (CPython 3.11, 2-core x86 VM).
-_GNP_BULK_MIN_PAIRS = 1 << 9
+#: Fewest coin flips (at least 1) that :func:`_gnp` draws with numpy.
+#: The numpy draw's fixed cost, about 0.15 ms (most of it loading the
+#: MT19937 state), outweighs its saving per coin up to about 2 000 coins
+#: at p <= 0.1 (n ≈ 64) and 4 000 at p = 0.3 (n ≈ 90); at n = 48 the
+#: Python loop takes 0.09-0.11 ms against 0.17-0.18 ms (CPython 3.11,
+#: numpy 2.4, 2-core x86 VM).
+_GNP_BULK_MIN_PAIRS = 1 << 11
+
+#: Per-thread MT19937 that :func:`_gnp_numpy` loads coin states into.
+#: Building one per graph costs about 0.17 ms even when seeded (its
+#: SeedSequence hashes the seed into 624 words; unseeded, 0.19 ms), more
+#: than the 0.12 ms state load and the whole Python coin loop at n = 48.
+_coin_words = threading.local()
 
 
-def _gnp(n: int, p: float, seed: int) -> "nx.Graph":
-    """Exactly ``nx.gnp_random_graph(n, p, seed=seed)``, drawn in bulk.
+def _gnp(n: int, p: float, seed: int) -> List[Tuple[int, int]]:
+    """The edges of ``nx.gnp_random_graph(n, p, seed=seed)``, in order.
 
-    networkx flips one ``random()`` coin per pair of
-    ``combinations(range(n), 2)``. CPython's ``random()`` is a fixed
-    function of the next two MT19937 words ``a, b``:
-    ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``, and ``getrandbits(64 * m)``
-    returns the next ``2 * m`` words, first word least significant. So
-    the same words are drawn in chunks, turned into the same doubles in
-    numpy, and the pairs whose coin is below ``p`` are added in pair
-    order: the nodes, edges and per-node adjacency order all match.
-    Below :data:`_GNP_BULK_MIN_PAIRS` coins, and without numpy, this is
-    networkx's own generator.
+    networkx flips one ``random()`` coin of ``Random(seed)`` per pair of
+    ``combinations(range(n), 2)`` and keeps the pairs whose coin is
+    below ``p``, so its ``edges`` list them in pair order. Below
+    :data:`_GNP_BULK_MIN_PAIRS` coins, and without numpy, this is that
+    same loop; above it, :func:`_gnp_numpy` draws the same coins in
+    bulk. Either way no networkx graph is built.
     """
     total = n * (n - 1) // 2
-    if total < _GNP_BULK_MIN_PAIRS:
-        return nx.gnp_random_graph(n, p, seed=seed)
-    try:
-        import numpy as np
-    except ImportError:
-        return nx.gnp_random_graph(n, p, seed=seed)
-    rng = random.Random(seed)
+    np = _numpy() if total >= _GNP_BULK_MIN_PAIRS else None
+    if np is not None:
+        return _gnp_numpy(np, n, p, seed)
+    coin = random.Random(seed).random
+    return [pair for pair in combinations(range(n), 2) if coin() < p]
+
+
+def _gnp_numpy(
+    np: ModuleType, n: int, p: float, seed: int
+) -> List[Tuple[int, int]]:
+    """:func:`_gnp`'s pairs, with the coins drawn in numpy.
+
+    CPython's ``random()`` is a fixed function of the next two MT19937
+    words ``a, b``: ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``. The coin
+    generator ``Random(seed)`` is private to this call, so its state is
+    loaded into a numpy ``MT19937``, whose ``random_raw`` yields the same
+    words, chunk by chunk. A coin is at least ``(a >> 5) / 2**27``, so
+    only pairs with ``a >> 5 < p * 2**27``, that is ``a < 32 *
+    ceil(p * 2**27)``, can pass; numpy turns just those into the same
+    doubles and maps the indices of the coins below ``p`` back to pairs.
+    """
+    generator = getattr(_coin_words, "generator", None)
+    if generator is None:
+        generator = _coin_words.generator = np.random.MT19937()
+    state = random.Random(seed).getstate()[1]
+    generator.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(state[:-1], np.uint32), "pos": state[-1]},
+    }
+    total = n * (n - 1) // 2
     rows = np.arange(n, dtype=np.int64)
     # Flat index of pair (u, u + 1) in combinations order.
     row_start = rows * (n - 1) - rows * (rows - 1) // 2
-    graph = nx.empty_graph(n)
-    # Endpoints are the graph's own node objects: fresh ints from
-    # tolist() would each live on as a dict key here and in WeightedGraph.
-    node = list(graph).__getitem__
+    # Every pair shares its endpoints' int objects: fresh ones from
+    # tolist() would each live on as a key of WeightedGraph's adjacency.
+    node = list(range(n)).__getitem__
+    if 0 < p < 1:
+        limit = 32 * math.ceil(p * 134217728)
+    else:  # every coin is below p >= 1, and none below p <= 0 (or NaN)
+        limit = 1 << 32 if p >= 1 else 0
+    pairs: List[Tuple[int, int]] = []
     for lo in range(0, total, _GNP_CHUNK):
-        m = min(_GNP_CHUNK, total - lo)
-        words = np.frombuffer(
-            rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u4"
-        )
+        words = generator.random_raw(2 * min(_GNP_CHUNK, total - lo))
+        maybe = np.flatnonzero(words[0::2] < limit)
         coins = (
-            (words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)
+            (words[2 * maybe] >> 5) * 67108864.0
+            + (words[2 * maybe + 1] >> 6)
         ) / 9007199254740992.0
-        flat = np.flatnonzero(coins < p) + lo
+        flat = maybe[coins < p] + lo
         us = np.searchsorted(row_start, flat, side="right") - 1
         vs = flat - row_start[us] + us + 1
-        graph.add_edges_from(
-            zip(map(node, us.tolist()), map(node, vs.tolist()))
+        pairs += zip(map(node, us.tolist()), map(node, vs.tolist()))
+    return pairs
+
+
+def _spans(n: int, pairs: List[Tuple[int, int]]) -> bool:
+    """Whether ``pairs`` connect all of the nodes 0..n-1 (union-find
+    with path halving, stopping at the join that leaves one component)."""
+    parent = list(range(n))
+    components = n
+    for u, v in pairs:
+        if components <= 1:
+            break
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            components -= 1
+    return components <= 1
+
+
+def _with_path(
+    n: int, pairs: List[Tuple[int, int]]
+) -> List[Tuple[int, int]]:
+    """``pairs`` (in pair order) plus the path 0-1-…-(n-1), listed as
+    ``nx.compose(sample, nx.path_graph(n)).edges`` lists them: per node
+    ``u``, its sampled ``(u, v > u)`` ascending, then ``(u, u + 1)``
+    unless that was sampled (it would lead the row)."""
+    edges: List[Tuple[int, int]] = []
+    end = 0
+    for u in range(n - 1):
+        start = end
+        while end < len(pairs) and pairs[end][0] == u:
+            end += 1
+        edges += pairs[start:end]
+        if start == end or pairs[start][1] != u + 1:
+            edges.append((u, u + 1))
+    return edges
+
+
+def _uniform_weights(
+    rng: random.Random, count: int, max_weight: int
+) -> List[int]:
+    """``[rng.randint(1, max_weight) for _ in range(count)]``, in bulk.
+
+    For a width ``max_weight`` of ``k <= 32`` bits, CPython's ``randint``
+    takes one MT19937 word per try, keeps its top ``k`` bits and tries
+    again while they are not below the width. ``getrandbits(32 * R)``
+    returns the next ``R`` words, first word least significant, so the
+    ``R`` weights still missing are drawn at once and the accepted words
+    kept in order, until none is missing. That consumes exactly the
+    words the one-by-one loop would: the weights and the rng's state
+    afterwards are the same. Wider (or non-int) widths take the loop.
+    """
+    if not isinstance(max_weight, int) or not 0 < max_weight < 1 << 32:
+        return [rng.randint(1, max_weight) for _ in range(count)]
+    shift = 32 - max_weight.bit_length()
+    # A word's top bits are below the width exactly when the word is
+    # below the width shifted up.
+    bound = max_weight << shift
+    weights: List[int] = []
+    while len(weights) < count:
+        missing = count - len(weights)
+        words = array(
+            "I", rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
         )
-    return graph
+        if sys.byteorder == "big":
+            words.byteswap()
+        weights += [(w >> shift) + 1 for w in words if w < bound]
+    return weights
+
+
+def _weighted_graph(
+    nodes: Iterable[int],
+    pairs: Collection[Tuple[int, int]],
+    rng: random.Random,
+    max_weight: int,
+) -> WeightedGraph:
+    """The graph on ``nodes`` whose edges are ``pairs`` in order, with
+    ``randint(1, max_weight)`` weights drawn in that order."""
+    weights = _uniform_weights(rng, len(pairs), max_weight)
+    return WeightedGraph(
+        nodes, ((u, v, w) for (u, v), w in zip(pairs, weights))
+    )
 
 
 def random_connected_graph(
@@ -105,12 +232,20 @@ def random_connected_graph(
     max_weight: int = 20,
 ) -> WeightedGraph:
     """G(n, p) with a Hamiltonian-path fallback for connectivity and
-    uniform random integer weights in [1, max_weight]."""
-    graph = ensure_connected(_gnp(n, p, rng.randrange(1 << 30)))
-    # Same edge order as graph.edges, without two view lookups per edge.
-    for _, _, data in graph.edges(data=True):
-        data["weight"] = rng.randint(1, max_weight)
-    return WeightedGraph.from_networkx(graph)
+    uniform random integer weights in [1, max_weight].
+
+    The graph equals ``ensure_connected(nx.gnp_random_graph(n, p,
+    seed))`` weighted by one ``rng.randint(1, max_weight)`` per edge in
+    ``edges`` order, node for node, edge for edge and in each node's
+    adjacency order, and leaves ``rng`` in the same state; it is built
+    from :func:`_gnp`'s pairs, a union-find connectivity check, the
+    compose-order fallback of :func:`_with_path` and the bulk weights of
+    :func:`_uniform_weights`, with no networkx graph in between.
+    """
+    pairs = _gnp(n, p, rng.randrange(1 << 30))
+    if not _spans(n, pairs):
+        pairs = _with_path(n, pairs)
+    return _weighted_graph(range(n), pairs, rng, max_weight)
 
 
 def random_geometric_graph(
@@ -140,9 +275,7 @@ def grid_graph(
 ) -> WeightedGraph:
     """rows × cols grid with random integer weights."""
     graph = nx.convert_node_labels_to_integers(nx.grid_2d_graph(rows, cols))
-    for u, v in graph.edges:
-        graph[u][v]["weight"] = rng.randint(1, max_weight)
-    return WeightedGraph.from_networkx(graph)
+    return _weighted_graph(graph.nodes, graph.edges, rng, max_weight)
 
 
 def ring_of_blobs(
@@ -189,9 +322,7 @@ def powerlaw_graph(
     graph = nx.barabasi_albert_graph(
         n, m_attach, seed=rng.randrange(1 << 30)
     )
-    for u, v in graph.edges:
-        graph[u][v]["weight"] = rng.randint(1, max_weight)
-    return WeightedGraph.from_networkx(graph)
+    return _weighted_graph(graph.nodes, graph.edges, rng, max_weight)
 
 
 def smallworld_graph(
@@ -213,9 +344,7 @@ def smallworld_graph(
             n, k_nearest, rewire_p, seed=rng.randrange(1 << 30)
         )
     )
-    for u, v in graph.edges:
-        graph[u][v]["weight"] = rng.randint(1, max_weight)
-    return WeightedGraph.from_networkx(graph)
+    return _weighted_graph(graph.nodes, graph.edges, rng, max_weight)
 
 
 def random_regular_graph(
@@ -234,9 +363,7 @@ def random_regular_graph(
     graph = ensure_connected(
         nx.random_regular_graph(degree, n, seed=rng.randrange(1 << 30))
     )
-    for u, v in graph.edges:
-        graph[u][v]["weight"] = rng.randint(1, max_weight)
-    return WeightedGraph.from_networkx(graph)
+    return _weighted_graph(graph.nodes, graph.edges, rng, max_weight)
 
 
 def torus_graph(
@@ -251,9 +378,7 @@ def torus_graph(
     graph = nx.convert_node_labels_to_integers(
         nx.grid_2d_graph(rows, cols, periodic=True)
     )
-    for u, v in graph.edges:
-        graph[u][v]["weight"] = rng.randint(1, max_weight)
-    return WeightedGraph.from_networkx(graph)
+    return _weighted_graph(graph.nodes, graph.edges, rng, max_weight)
 
 
 def caterpillar_graph(

@@ -329,3 +329,15 @@ class TestReport:
         assert main(["report", "--store", store,
                      "--scenario", "absent"]) == 0
         assert "no records" in capsys.readouterr().out
+
+
+class TestProfileCommand:
+    def test_report_has_the_instance_build_row(self, capsys):
+        code = main([
+            "profile", "--scenario", "grid-rounds",
+            "--algorithm", "distributed", "--no-store",
+        ])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0].startswith("== profile: grid-rounds · distributed")
+        assert rows[2].split()[0] == "build_instance"

@@ -19,6 +19,7 @@ Three contracts are pinned here:
 """
 
 import random
+import time
 
 import pytest
 
@@ -272,6 +273,33 @@ class TestProfilingIsFree:
         for metric in ("weight", "rounds", "messages", "n", "m", "t"):
             if metric in plain["metrics"]:
                 assert plain["metrics"][metric] == profiled["metrics"][metric]
+
+    @pytest.mark.parametrize("algorithm", ["distributed", "moat", "spanner"])
+    def test_profile_times_the_instance_build_as_its_own_row(
+        self, algorithm, monkeypatch
+    ):
+        from repro.engine import runner
+
+        def slow_build(job):
+            started = time.perf_counter()
+            while time.perf_counter() - started < 0.1:
+                pass
+            return build(job)
+
+        build = runner.build_instance
+        monkeypatch.setattr(runner, "build_instance", slow_build)
+        record = execute_job({
+            "scenario": "perf-test", "family": "gnp",
+            "family_params": {"n": 10, "p": 0.4}, "k": 2,
+            "component_size": 2, "algorithm": algorithm, "seed_index": 0,
+            "profile": True,
+        })
+        first = record["profile"]["phases"][0]
+        assert first["phase"] == "build_instance"
+        assert first["rounds"] == first["messages"] == 0
+        assert first["wall_time"] >= 0.1
+        # metrics.wall_time is the solve alone.
+        assert record["metrics"]["wall_time"] < first["wall_time"]
 
 
 class TestLedgerFastPathConformance:

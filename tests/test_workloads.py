@@ -1,5 +1,6 @@
 """Tests for the workload generators."""
 
+import functools
 import hashlib
 import random
 import sys
@@ -7,6 +8,7 @@ import sys
 import networkx as nx
 import pytest
 
+from repro.model.graph import WeightedGraph
 from repro.simbackend import numpy_tier_available
 from repro.workloads import (
     TERMINAL_PLACEMENTS,
@@ -329,17 +331,8 @@ requires_numpy = pytest.mark.skipif(
 )
 
 
-def _nx_graph_fingerprint(graph):
-    """Nodes, edges and every node's adjacency, all in iteration order."""
-    return (
-        list(graph.nodes),
-        list(graph.edges),
-        [list(graph.adj[u]) for u in graph],
-    )
-
-
 class TestBulkGnp:
-    """``_gnp`` is networkx's G(n, p), whichever path draws it."""
+    """``_gnp`` lists networkx's G(n, p) edges, whichever path draws it."""
 
     @pytest.mark.parametrize("seed", sorted(GNP_2048_SHA256))
     def test_gnp_2048_edges_pinned(self, seed):
@@ -362,42 +355,215 @@ class TestBulkGnp:
     def test_bulk_draw_equals_networkx(self, n, p, seed, monkeypatch):
         # Draw in bulk at every n, not only above the size cut-over.
         monkeypatch.setattr(generators, "_GNP_BULK_MIN_PAIRS", 1)
-        assert _nx_graph_fingerprint(
-            generators._gnp(n, p, seed)
-        ) == _nx_graph_fingerprint(nx.gnp_random_graph(n, p, seed=seed))
+        assert generators._gnp(n, p, seed) == list(
+            nx.gnp_random_graph(n, p, seed=seed).edges
+        )
 
     @staticmethod
-    def _spy_on_networkx(monkeypatch):
+    def _spy(monkeypatch, name):
         calls = []
-        original = nx.gnp_random_graph
+        original = getattr(generators, name)
 
         def spy(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(generators.nx, "gnp_random_graph", spy)
-        return calls, original
+        monkeypatch.setattr(generators, name, spy)
+        return calls
 
-    def test_without_numpy_falls_back_to_networkx(self, monkeypatch):
-        calls, original = self._spy_on_networkx(monkeypatch)
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        graph = generators._gnp(48, 0.3, 7)
-        assert calls == [(48, 0.3)]
-        assert _nx_graph_fingerprint(graph) == _nx_graph_fingerprint(
-            original(48, 0.3, seed=7)
+    def test_without_numpy_draws_coins_in_python(self, monkeypatch):
+        reference = list(nx.gnp_random_graph(300, 0.3, seed=7).edges)
+        bulk = self._spy(monkeypatch, "_gnp_numpy")
+        sampled = []
+        monkeypatch.setattr(
+            generators.nx, "gnp_random_graph",
+            lambda *args, **kwargs: sampled.append(args),
         )
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert generators._gnp(300, 0.3, 7) == reference
+        assert bulk == [] and sampled == []
 
     @requires_numpy
     def test_numpy_draws_in_bulk_from_the_cut_over(self, monkeypatch):
-        calls, _ = self._spy_on_networkx(monkeypatch)
+        calls = self._spy(monkeypatch, "_gnp_numpy")
         below = max(
-            n for n in range(64)
+            n for n in range(256)
             if n * (n - 1) // 2 < generators._GNP_BULK_MIN_PAIRS
         )
         generators._gnp(below, 0.3, 7)
-        assert calls == [(below, 0.3)]
+        assert calls == []
         generators._gnp(below + 1, 0.3, 7)
-        assert calls == [(below, 0.3)]
+        assert [args[1:] for args in calls] == [(below + 1, 0.3, 7)]
+
+
+def _reference_weights(graph, rng, max_weight):
+    """One ``rng.randint(1, max_weight)`` per edge of the networkx
+    ``graph`` in ``edges`` order, then ``from_networkx``: how the
+    generators weighed their graphs before the bulk draw."""
+    for u, v in graph.edges:
+        graph[u][v]["weight"] = rng.randint(1, max_weight)
+    return WeightedGraph.from_networkx(graph)
+
+
+@functools.lru_cache(maxsize=None)
+def _networkx_gnp(n, p, seed):
+    """networkx's G(n, p), sampled once per test run (a second at
+    n = 4096); callers weigh a copy."""
+    return nx.gnp_random_graph(n, p, seed=seed)
+
+
+def _reference_gnp_build(n, p, rng, max_weight):
+    """``random_connected_graph`` as it was built through networkx:
+    G(n, p), the compose fallback, then :func:`_reference_weights`."""
+    sample = _networkx_gnp(n, p, rng.randrange(1 << 30)).copy()
+    return _reference_weights(ensure_connected(sample), rng, max_weight)
+
+
+def _build_fingerprint(graph, rng):
+    """Nodes, edges in order, each node's adjacency in insertion order
+    with its weights, and the state the build left ``rng`` in."""
+    return (
+        graph.nodes,
+        graph.edges(),
+        [list(graph.adjacency(v).items()) for v in graph.nodes],
+        rng.getstate(),
+    )
+
+
+#: max_weight values of the identity tests: widths of 1 to 21 bits, at
+#: and just past a power of two, and the default.
+IDENTITY_MAX_WEIGHTS = (1, 2, 16, 17, 20, 2 ** 20)
+
+#: (n, p, seed) of the identity tests: one sample below the numpy coin
+#: cut-over, one connected sample above it, and three disconnected
+#: samples that take the compose-order fallback.
+IDENTITY_SAMPLES = (
+    (48, 0.1, 0), (256, 0.03, 0),
+    (300, 0.004, 0), (2048, 0.002, 0), (4096, 0.002, 0),
+)
+
+
+def _identity_cases(tag, with_numpy):
+    for n, p, seed in IDENTITY_SAMPLES:
+        # Without numpy, the largest samples cost a second each per
+        # build, so they take the default width only: the weights are
+        # drawn the same way on both paths.
+        widths = (
+            IDENTITY_MAX_WEIGHTS if with_numpy or n <= 300 else (20,)
+        )
+        for max_weight in widths:
+            yield pytest.param(
+                n, p, seed, max_weight,
+                id=f"{tag}-n{n}-p{p}-seed{seed}-w{max_weight}",
+            )
+
+
+def _assert_build_identity(n, p, seed, max_weight):
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    graph = random_connected_graph(n, p, rng, max_weight=max_weight)
+    reference = _reference_gnp_build(n, p, reference_rng, max_weight)
+    assert _build_fingerprint(graph, rng) == _build_fingerprint(
+        reference, reference_rng
+    )
+
+
+class TestGnpBuildIdentity:
+    """The direct build is the networkx build, down to the rng state."""
+
+    def test_samples_cover_both_connectivity_paths(self):
+        spanned = [
+            generators._spans(n, generators._gnp(n, p, coin_seed))
+            for n, p, seed in IDENTITY_SAMPLES
+            for coin_seed in [random.Random(seed).randrange(1 << 30)]
+        ]
+        assert spanned == [True, True, False, False, False]
+
+    @requires_numpy
+    @pytest.mark.parametrize(
+        "n,p,seed,max_weight", list(_identity_cases("numpy", True))
+    )
+    def test_numpy_build_equals_networkx_build(self, n, p, seed, max_weight):
+        _assert_build_identity(n, p, seed, max_weight)
+
+    @pytest.mark.parametrize(
+        "n,p,seed,max_weight", list(_identity_cases("python", False))
+    )
+    def test_python_build_equals_networkx_build(
+        self, n, p, seed, max_weight, monkeypatch
+    ):
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        _assert_build_identity(n, p, seed, max_weight)
+
+    @pytest.mark.parametrize("count", [0, 1, 5, 128, 1000])
+    @pytest.mark.parametrize(
+        "max_weight",
+        IDENTITY_MAX_WEIGHTS + (2 ** 32 - 1, 2 ** 32, 2 ** 40),
+    )
+    def test_uniform_weights_are_randint_draws(self, max_weight, count):
+        rng, reference = random.Random(count), random.Random(count)
+        weights = generators._uniform_weights(rng, count, max_weight)
+        assert weights == [
+            reference.randint(1, max_weight) for _ in range(count)
+        ]
+        assert all(type(w) is int for w in weights)
+        assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize(
+        "build,reference",
+        [
+            (
+                lambda rng: grid_graph(5, 7, rng),
+                lambda rng: _reference_weights(
+                    nx.convert_node_labels_to_integers(
+                        nx.grid_2d_graph(5, 7)
+                    ),
+                    rng, 10,
+                ),
+            ),
+            (
+                lambda rng: torus_graph(16, 16, rng, max_weight=2 ** 33),
+                lambda rng: _reference_weights(
+                    nx.convert_node_labels_to_integers(
+                        nx.grid_2d_graph(16, 16, periodic=True)
+                    ),
+                    rng, 2 ** 33,
+                ),
+            ),
+            (
+                lambda rng: powerlaw_graph(60, 2, rng),
+                lambda rng: _reference_weights(
+                    nx.barabasi_albert_graph(
+                        60, 2, seed=rng.randrange(1 << 30)
+                    ),
+                    rng, 20,
+                ),
+            ),
+            (
+                lambda rng: smallworld_graph(60, 4, 0.3, rng, max_weight=17),
+                lambda rng: _reference_weights(
+                    ensure_connected(nx.watts_strogatz_graph(
+                        60, 4, 0.3, seed=rng.randrange(1 << 30)
+                    )),
+                    rng, 17,
+                ),
+            ),
+            (
+                lambda rng: random_regular_graph(300, 3, rng, max_weight=1),
+                lambda rng: _reference_weights(
+                    ensure_connected(nx.random_regular_graph(
+                        3, 300, seed=rng.randrange(1 << 30)
+                    )),
+                    rng, 1,
+                ),
+            ),
+        ],
+        ids=["grid", "torus", "powerlaw", "smallworld", "regular"],
+    )
+    def test_networkx_families_equal_per_edge_randint(self, build, reference):
+        rng, reference_rng = random.Random(3), random.Random(3)
+        assert _build_fingerprint(build(rng), rng) == _build_fingerprint(
+            reference(reference_rng), reference_rng
+        )
 
 
 class TestEnsureConnected:
