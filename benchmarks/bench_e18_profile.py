@@ -3,7 +3,7 @@
 Runs the Section 4.1 distributed Steiner-forest pipeline (BFS setup,
 reduced-weight Bellman–Ford decompositions, pipelined filtered upcast,
 path selection) end-to-end under the three ledger engines the
-``--backend`` axis selects for run-accepting solvers:
+``--backend`` axis selects for the ledger solvers:
 
 * ``reference`` — a plain :class:`~repro.congest.run.CongestRun`;
 * ``flatarray`` — :class:`~repro.perf.FastCongestRun`, which runs the

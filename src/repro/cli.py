@@ -706,7 +706,8 @@ def _add_trace_workload_options(parser: argparse.ArgumentParser) -> None:
         "--algorithm",
         choices=sorted(ALGORITHMS),
         default="distributed",
-        help="ledger-narrating solver to instrument (default: distributed)",
+        help="solver to instrument; every solver but the centralized moat "
+        "and rounded narrates a ledger (default: distributed)",
     )
 
 
@@ -715,12 +716,11 @@ def _cmd_solve(args) -> int:
     inst = random_instance(args.n, args.k, rng)
     result = ALGORITHMS[args.algorithm].run(inst, random.Random(args.seed))
     result.solution.assert_feasible(inst)
-    rounds = getattr(result, "rounds", None)
     print(f"algorithm : {args.algorithm}")
     print(f"instance  : n={args.n} k={args.k} seed={args.seed}")
     print(f"weight    : {result.solution.weight}")
-    if rounds is not None:
-        print(f"rounds    : {rounds}")
+    if result.rounds is not None:
+        print(f"rounds    : {result.rounds}")
     if args.exact:
         opt = steiner_forest_cost(inst)
         ratio = result.solution.weight / opt if opt else 1.0
@@ -738,7 +738,7 @@ def _cmd_compare(args) -> int:
     for name in sorted(ALGORITHMS):
         result = ALGORITHMS[name].run(inst, random.Random(args.seed))
         weight = result.solution.weight
-        rounds = getattr(result, "rounds", "-")
+        rounds = "-" if result.rounds is None else result.rounds
         ratio = weight / opt if opt else 1.0
         print(f"{name:12s} {weight:7d} {ratio:7.3f} {rounds!s:>7s}")
     return 0
@@ -976,8 +976,9 @@ def _instrumented_trace(args, backend: str) -> List[Dict[str, Any]]:
     algorithm = ALGORITHMS[args.algorithm]
     if not algorithm.accepts_run:
         raise ValueError(
-            f"algorithm {args.algorithm!r} does not narrate a ledger; "
-            "choose a run-accepting solver (e.g. distributed, sublinear)"
+            f"algorithm {args.algorithm!r} does not narrate a ledger: "
+            "moat and rounded are centralized, with no CONGEST rounds "
+            "to trace"
         )
     instance = random_instance(
         args.n, args.k, random.Random(args.seed), p=args.p

@@ -19,8 +19,9 @@ from repro.model.instance import SteinerForestInstance
 from repro.perf.profiler import maybe_span
 
 
-def _as_fraction(value: Union[int, float, Fraction]) -> Fraction:
-    """Convert ε to an exact Fraction (via str for floats, so 0.1 → 1/10)."""
+def _as_fraction(value: Union[int, float, str, Fraction]) -> Fraction:
+    """Convert ε to an exact Fraction (via str for floats, so 0.1 → 1/10;
+    strings like "1/10" come from JSON job records)."""
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)
@@ -28,7 +29,7 @@ def _as_fraction(value: Union[int, float, Fraction]) -> Fraction:
 
 def rounded_moat_growing(
     instance: SteinerForestInstance,
-    epsilon: Union[int, float, Fraction] = Fraction(1, 2),
+    epsilon: Union[int, float, str, Fraction] = Fraction(1, 2),
     profiler: Optional[Any] = None,
 ) -> MoatGrowingResult:
     """Run Algorithm 2 and return the (2+ε)-approximate Steiner forest.

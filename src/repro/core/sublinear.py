@@ -107,7 +107,7 @@ def _component_nodes(
 
 def sublinear_moat_growing(
     instance: SteinerForestInstance,
-    epsilon: Union[int, float, Fraction] = Fraction(1, 2),
+    epsilon: Union[int, float, str, Fraction] = Fraction(1, 2),
     run: Optional[CongestRun] = None,
     sigma: Optional[int] = None,
 ) -> SublinearResult:

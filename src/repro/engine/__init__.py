@@ -32,9 +32,10 @@ Scenario specs carry a **network axis** (:mod:`repro.netmodel`) and a
 product of graph family × algorithm × network condition × execution
 engine, and every non-default condition/engine hashes to its own
 result-store cache key (the clean defaults keep earlier-schema keys).
-For the run-accepting solvers the backend additionally selects the
-ledger engine (:func:`repro.perf.make_ledger_run`) — wall time changes,
-results never do — and a spec's ``profile`` flag rides a
+Every solver returns one :class:`SolveResult`; for those that charge a
+CONGEST ledger (all but ``moat`` and ``rounded``) the backend also
+selects the ledger engine (:func:`repro.perf.make_ledger_run`) — wall
+time changes, results never do — and a spec's ``profile`` flag rides a
 :class:`repro.perf.PhaseProfiler` along, landing per-phase breakdowns
 on the records (schema v5).
 
@@ -44,7 +45,7 @@ written by any earlier schema keep satisfying today's default-valued
 jobs; breaking this silently cold-starts every existing store.
 """
 
-from repro.engine.algorithms import ALGORITHMS, AlgorithmSpec
+from repro.engine.algorithms import ALGORITHMS, AlgorithmSpec, SolveResult
 from repro.engine.aggregate import AggregateRow, aggregate_records, ratio_summary
 from repro.engine.jobs import Job, content_hash, expand_grid, expand_jobs
 from repro.engine.registry import (
@@ -71,6 +72,7 @@ from repro.engine.suites import SUITES, SuiteRegistry, SuiteSpec, expand_suites
 __all__ = [
     "ALGORITHMS",
     "AlgorithmSpec",
+    "SolveResult",
     "AggregateRow",
     "aggregate_records",
     "ratio_summary",

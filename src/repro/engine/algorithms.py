@@ -1,14 +1,17 @@
 """The algorithm registry — one table shared by the CLI, engine, and benchmarks.
 
-Each entry wraps a solver behind the uniform signature
-``run(instance, rng, **params) -> result`` where ``result`` exposes at least
-``solution`` (a :class:`~repro.model.solution.ForestSolution`) and optionally
-``rounds`` / ``run`` (a :class:`~repro.congest.run.CongestRun` ledger).
+Every entry wraps a solver behind one contract,
+``run(instance, rng, run=None, profiler=None, **params) -> SolveResult``.
+``run`` is the :class:`~repro.congest.run.CongestRun` ledger a CONGEST
+solver charges (``None``: the solver builds a plain one). ``profiler``
+is the :class:`~repro.perf.PhaseProfiler` the centralized solvers
+(``moat``, ``rounded``, no ledger) open wall-time spans on; a ledger
+solver reports through the profiler attached to its ledger.
 
 Tunable solver parameters (e.g. Algorithm 2's ε) are passed as keyword
 arguments. Fractional parameters travel as strings ("1/10") so job records
-stay JSON-serializable and exactly reproducible; factories convert them with
-:class:`fractions.Fraction`.
+stay JSON-serializable and exactly reproducible; the solvers convert them
+with :class:`fractions.Fraction`.
 """
 
 import random
@@ -16,6 +19,7 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Union
 
 from repro.baselines import khan_steiner_forest, spanner_steiner_forest
+from repro.congest.run import CongestRun
 from repro.core import (
     distributed_moat_growing,
     moat_growing,
@@ -24,18 +28,24 @@ from repro.core import (
 )
 from repro.core.rounded import num_growth_phases
 from repro.model.instance import SteinerForestInstance
+from repro.model.solution import ForestSolution
 from repro.randomized import randomized_steiner_forest
 
 EpsParam = Union[int, float, str, Fraction]
+Ledger = Optional[CongestRun]
 
 
-def _eps(value: EpsParam) -> Fraction:
-    """Parse an ε parameter; strings like "1/10" come from JSON job records."""
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+class SolveResult(NamedTuple):
+    """A solver's solution, the ledger it charged (``None`` for the
+    centralized solvers), and its own record columns."""
+
+    solution: ForestSolution
+    run: Ledger
+    metrics: Dict[str, int]
+
+    @property
+    def rounds(self) -> Optional[int]:
+        return None if self.run is None else self.run.rounds
 
 
 class AlgorithmSpec(NamedTuple):
@@ -43,70 +53,74 @@ class AlgorithmSpec(NamedTuple):
 
     Attributes:
         name: registry key.
-        run: ``(instance, rng, **params) -> result`` adapter.
+        run: the :class:`SolveResult` adapter (module docstring).
         randomized: whether the result depends on the supplied rng.
-        extra_metrics: optional ``result -> dict`` hook contributing
-            algorithm-specific columns to job records.
-        accepts_run: the adapter takes a ``run=`` keyword — the solver
-            charges a caller-supplied :class:`~repro.congest.run.
-            CongestRun`, which is how the engine threads the ledger-level
-            backend fast path (:func:`repro.perf.make_ledger_run`) and
-            the phase profiler into the paper's pipeline.
-        accepts_profiler: the adapter takes a ``profiler=`` keyword —
-            for centralized solvers with no ledger, profiled via
-            wall-time spans.
+        accepts_run: the solver charges a CONGEST ledger, so the engine
+            hands it :func:`repro.perf.make_ledger_run`'s ledger for the
+            job's backend (with the profiler attached when profiling).
         description: one-line summary for ``--list`` output.
     """
 
     name: str
-    run: Callable[..., Any]
+    run: Callable[..., SolveResult]
     randomized: bool = False
-    extra_metrics: Optional[Callable[[Any], Dict[str, Any]]] = None
     accepts_run: bool = False
-    accepts_profiler: bool = False
     description: str = ""
 
 
-def _run_moat(
-    inst: SteinerForestInstance, rng: random.Random, profiler: Any = None
-) -> Any:
-    return moat_growing(inst, profiler=profiler)
+def _ledger_result(result: Any, **metrics: int) -> SolveResult:
+    return SolveResult(result.solution, result.run, metrics)
 
 
-def _run_rounded(
-    inst: SteinerForestInstance,
-    rng: random.Random,
-    eps: EpsParam = "1/2",
-    profiler: Any = None,
-) -> Any:
-    return rounded_moat_growing(inst, _eps(eps), profiler=profiler)
+def _run_moat(inst: SteinerForestInstance, rng: random.Random,
+              run: Ledger = None, profiler: Any = None) -> SolveResult:
+    result = moat_growing(inst, profiler=profiler)
+    return SolveResult(
+        result.solution, None, {"num_merge_phases": result.num_merge_phases}
+    )
 
 
-def _run_distributed(
-    inst: SteinerForestInstance, rng: random.Random, run: Any = None
-) -> Any:
-    return distributed_moat_growing(inst, run=run)
+def _run_rounded(inst: SteinerForestInstance, rng: random.Random,
+                 run: Ledger = None, profiler: Any = None,
+                 eps: EpsParam = "1/2") -> SolveResult:
+    result = rounded_moat_growing(inst, eps, profiler=profiler)
+    return SolveResult(result.solution, None, {
+        "num_merge_phases": result.num_merge_phases,
+        "growth_phases": num_growth_phases(result),
+    })
 
 
-def _run_sublinear(
-    inst: SteinerForestInstance,
-    rng: random.Random,
-    eps: EpsParam = "1/2",
-    run: Any = None,
-) -> Any:
-    return sublinear_moat_growing(inst, _eps(eps), run=run)
+def _run_distributed(inst: SteinerForestInstance, rng: random.Random,
+                     run: Ledger = None, profiler: Any = None) -> SolveResult:
+    result = distributed_moat_growing(inst, run=run)
+    return _ledger_result(result, num_phases=result.num_phases)
 
 
-def _run_randomized(inst: SteinerForestInstance, rng: random.Random) -> Any:
-    return randomized_steiner_forest(inst, rng=rng)
+def _run_sublinear(inst: SteinerForestInstance, rng: random.Random,
+                   run: Ledger = None, profiler: Any = None,
+                   eps: EpsParam = "1/2") -> SolveResult:
+    result = sublinear_moat_growing(inst, eps, run=run)
+    return _ledger_result(
+        result,
+        sigma=result.sigma,
+        num_growth_phases=result.num_growth_phases,
+        num_merge_phases=result.num_merge_phases,
+    )
 
 
-def _run_khan(inst: SteinerForestInstance, rng: random.Random) -> Any:
-    return khan_steiner_forest(inst, rng=rng)
+def _run_randomized(inst: SteinerForestInstance, rng: random.Random,
+                    run: Ledger = None, profiler: Any = None) -> SolveResult:
+    return _ledger_result(randomized_steiner_forest(inst, rng=rng, run=run))
 
 
-def _run_spanner(inst: SteinerForestInstance, rng: random.Random) -> Any:
-    return spanner_steiner_forest(inst)
+def _run_khan(inst: SteinerForestInstance, rng: random.Random,
+              run: Ledger = None, profiler: Any = None) -> SolveResult:
+    return _ledger_result(khan_steiner_forest(inst, rng=rng, run=run))
+
+
+def _run_spanner(inst: SteinerForestInstance, rng: random.Random,
+                 run: Ledger = None, profiler: Any = None) -> SolveResult:
+    return _ledger_result(spanner_steiner_forest(inst, run=run))
 
 
 ALGORITHMS: Mapping[str, AlgorithmSpec] = {
@@ -115,16 +129,11 @@ ALGORITHMS: Mapping[str, AlgorithmSpec] = {
         AlgorithmSpec(
             "moat",
             _run_moat,
-            accepts_profiler=True,
             description="centralized Algorithm 1 (2-approx, Theorem 4.1)",
         ),
         AlgorithmSpec(
             "rounded",
             _run_rounded,
-            extra_metrics=lambda result: {
-                "growth_phases": num_growth_phases(result)
-            },
-            accepts_profiler=True,
             description="Algorithm 2, rounded radii ((2+ε)-approx)",
         ),
         AlgorithmSpec(
@@ -143,17 +152,20 @@ ALGORITHMS: Mapping[str, AlgorithmSpec] = {
             "randomized",
             _run_randomized,
             randomized=True,
+            accepts_run=True,
             description="Section 5 randomized embedding algorithm",
         ),
         AlgorithmSpec(
             "khan",
             _run_khan,
             randomized=True,
+            accepts_run=True,
             description="[14] baseline (tree-embedding Steiner forest)",
         ),
         AlgorithmSpec(
             "spanner",
             _run_spanner,
+            accepts_run=True,
             description="spanner-based baseline",
         ),
     )

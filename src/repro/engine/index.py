@@ -38,7 +38,7 @@ import json
 import os
 import sqlite3
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, KeysView, List, Optional, Tuple
 
 #: Bytes hashed from each end of the indexed region for the fingerprint.
 _SAMPLE_BYTES = 4096
@@ -256,9 +256,10 @@ class StoreIndex:
 
     # -- queries ---------------------------------------------------------
 
-    def keys(self) -> Set[str]:
+    def keys(self) -> KeysView[str]:
         conn = self._connect()
-        return {row[0] for row in conn.execute("SELECT key FROM entries")}
+        rows = conn.execute("SELECT key FROM entries")
+        return dict.fromkeys(row[0] for row in rows).keys()
 
     def lookup(self, key: str) -> Optional[Tuple[int, int]]:
         """``(offset, length)`` of the first row for ``key``, if indexed."""

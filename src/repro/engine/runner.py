@@ -25,15 +25,6 @@ from repro.netmodel import build_network_model
 from repro.perf import PhaseProfiler, make_ledger_run, maybe_span
 from repro.workloads import place_terminals
 
-#: Result attributes promoted to metrics whenever the solver exposes them.
-_OPTIONAL_RESULT_METRICS = (
-    "sigma",
-    "num_phases",
-    "num_growth_phases",
-    "num_merge_phases",
-)
-
-
 def build_instance(job: Job) -> SteinerForestInstance:
     """Rebuild the (algorithm-independent) instance a job runs on."""
     family = GRAPH_FAMILIES[job.family]
@@ -47,21 +38,23 @@ def build_instance(job: Job) -> SteinerForestInstance:
 def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
     """Run one job (worker entry point); returns its JSON-able record.
 
-    The job's ``backend`` selects the *ledger engine* for run-accepting
+    Every solver returns one :class:`~repro.engine.algorithms.SolveResult`.
+    The job's ``backend`` selects the *ledger engine* for the ledger
     solvers (:func:`repro.perf.make_ledger_run`): ``numpy`` (or a
     large-instance ``auto``) hands the solver a
     :class:`~repro.perf.npkernels.NumpyCongestRun`, whose array kernels
     change wall time but — by the tiers' conformance pin — nothing
     observable: weights, rounds, messages, per-edge traffic, and
     cache-relevant outputs are byte-identical to ``reference``
-    (``flatarray`` runs the same Python path as ``reference``). For message-level executions
-    (node-program scenarios, conformance suites, benchmarks) the axis
-    selects the simulator engine as before. Like the network axis, a
-    non-default backend hashes to its own cache key.
+    (``flatarray`` runs the same Python path as ``reference``). For
+    message-level executions (node-program scenarios, conformance
+    suites, benchmarks) the axis selects the simulator engine as before.
+    Like the network axis, a non-default backend hashes to its own cache
+    key.
 
     With ``job.profile`` set, a :class:`~repro.perf.PhaseProfiler`
-    rides along (attached to the ledger for run-accepting solvers, as
-    wall-time spans for centralized ones) and the record gains a
+    rides along (attached to the ledger of a ledger solver, as
+    wall-time spans for the centralized ones) and the record gains a
     ``profile`` field; profiling never changes the computation. Its
     first row, ``build_instance``, times the instance build, which
     ``metrics.wall_time`` (the solve) leaves out; what runs between the
@@ -75,7 +68,6 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
         instance = build_instance(job)
     algorithm = ALGORITHMS[job.algorithm]
     rng = random.Random(job.algorithm_seed())
-    kwargs: Dict[str, Any] = dict(job.algo_params)
     ledger = None
     # Ledger construction is inside the timed window: the flatarray/auto
     # engines pay their topology compile there, so stored wall_time rows
@@ -86,19 +78,9 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
         ledger = make_ledger_run(job.backend, instance.graph)
         if profiler is not None:
             profiler.attach(ledger)
-        kwargs["run"] = ledger
-    elif algorithm.accepts_profiler and profiler is not None:
-        kwargs["profiler"] = profiler
-    if (
-        profiler is not None
-        and not algorithm.accepts_run
-        and not algorithm.accepts_profiler
-    ):
-        # No internal instrumentation points: one span for the whole call.
-        with profiler.span("solve"):
-            result = algorithm.run(instance, rng, **kwargs)
-    else:
-        result = algorithm.run(instance, rng, **kwargs)
+    result = algorithm.run(
+        instance, rng, run=ledger, profiler=profiler, **job.algo_params
+    )
     wall_time = time.perf_counter() - started
     if profiler is not None:
         profiler.finish()
@@ -111,30 +93,22 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
         "weight": result.solution.weight,
         "wall_time": wall_time,
     }
-    rounds = getattr(result, "rounds", None)
-    if rounds is not None:
-        metrics["rounds"] = rounds
-    run = getattr(result, "run", None)
+    run = result.run
     if run is not None:
+        metrics["rounds"] = run.rounds
         metrics["messages"] = run.messages
         metrics["bits"] = run.bits
         if run.edge_messages:
             metrics["max_edge_messages"] = max(run.edge_messages.values())
     network_model = build_network_model(job.network)
-    if network_model.name != "reliable" and rounds is not None:
+    if network_model.name != "reliable" and run is not None:
         # The solvers run against the clean ledger; surface the network
         # condition's latency overhead via the model's synchronizer
         # accounting (see NetworkModel.emulated_rounds).
         metrics["emulated_rounds"] = network_model.emulated_rounds(
-            rounds,
-            bandwidth_bits=run.bandwidth_bits if run is not None else None,
+            run.rounds, bandwidth_bits=run.bandwidth_bits
         )
-    for attr in _OPTIONAL_RESULT_METRICS:
-        value = getattr(result, attr, None)
-        if value is not None:
-            metrics[attr] = value
-    if algorithm.extra_metrics is not None:
-        metrics.update(algorithm.extra_metrics(result))
+    metrics.update(result.metrics)
     if job.exact:
         from repro.exact import steiner_forest_cost
 

@@ -142,11 +142,11 @@ def pipeline_instance(workload: Dict[str, Any], n: int) -> Any:
 def measure_pipeline(
     workload: Dict[str, Any], n: int, backend: str
 ) -> Tuple[Dict[str, Any], Any]:
-    """One BENCH_profile entry: the ``workload``'s run-accepting solver
-    on :func:`pipeline_instance`, ledger construction inside the clock. The single definition behind both
-    ``benchmarks/bench_e18_profile.py`` and the gate; returns the entry
-    and the execution fingerprint (solution, rounds, per-edge traffic,
-    phase breakdown)."""
+    """One BENCH_profile entry: the ``workload``'s ledger solver on
+    :func:`pipeline_instance`, ledger construction inside the clock. The
+    single definition behind both ``benchmarks/bench_e18_profile.py``
+    and the gate; returns the entry and the execution fingerprint
+    (solution, rounds, per-edge traffic, phase breakdown)."""
     from repro.engine.algorithms import ALGORITHMS
     from repro.perf import make_ledger_run
 
@@ -172,7 +172,7 @@ def measure_pipeline(
         result.rounds,
         run.messages,
         sorted(run.edge_messages.items(), key=repr),
-        getattr(result, "num_phases", None),
+        result.metrics.get("num_phases"),
         dict(run.phase_rounds),
     )
     return entry, fingerprint

@@ -341,3 +341,20 @@ class TestProfileCommand:
         rows = capsys.readouterr().out.splitlines()
         assert rows[0].startswith("== profile: grid-rounds · distributed")
         assert rows[2].split()[0] == "build_instance"
+
+
+class TestTrace:
+    def test_randomized_narrates_its_phases(self, capsys):
+        code = main([
+            "trace", "summary", "--algorithm", "randomized", "--n", "24",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "regime-detection" in out and "first-stage" in out
+
+    @pytest.mark.parametrize("algorithm", ["moat", "rounded"])
+    def test_centralized_solvers_are_refused(self, algorithm, capsys):
+        code = main(["trace", "summary", "--algorithm", algorithm])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "moat and rounded are centralized" in err

@@ -30,6 +30,7 @@ from repro.congest.simulator import FloodMaxLeaderElection, Simulator
 from repro.core.distributed import distributed_moat_growing
 from repro.core.moat import moat_growing
 from repro.core.sublinear import sublinear_moat_growing
+from repro.engine.algorithms import ALGORITHMS
 from repro.engine.jobs import Job
 from repro.engine.registry import GRAPH_FAMILIES
 from repro.engine.runner import execute_job
@@ -254,7 +255,7 @@ class TestProfilingIsFree:
         assert profiled.graph_seed() == job.graph_seed()
         assert profiled.placement_seed() == job.placement_seed()
 
-    @pytest.mark.parametrize("algorithm", ["distributed", "moat", "spanner"])
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_execute_job_profile_only_adds_payload(self, algorithm):
         base = {
             "scenario": "perf-test",
@@ -274,7 +275,7 @@ class TestProfilingIsFree:
             if metric in plain["metrics"]:
                 assert plain["metrics"][metric] == profiled["metrics"][metric]
 
-    @pytest.mark.parametrize("algorithm", ["distributed", "moat", "spanner"])
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_profile_times_the_instance_build_as_its_own_row(
         self, algorithm, monkeypatch
     ):
