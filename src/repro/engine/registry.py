@@ -194,6 +194,17 @@ def normalize_networks(network: Any) -> Tuple[Dict[str, Any], ...]:
     return tuple(specs)
 
 
+def check_backend_names(names: Iterable[str], context: str = "") -> None:
+    """Raise ValueError, prefixed by ``context``, when a name in ``names``
+    is not a simbackend engine."""
+    unknown = [name for name in names if name not in BACKENDS]
+    if unknown:
+        raise ValueError(
+            f"{context}unknown simulation backends {unknown}; "
+            f"choose from {sorted(BACKENDS)}"
+        )
+
+
 def normalize_backends(backend: Any) -> Tuple[Dict[str, Any], ...]:
     """Normalize a spec's backend axis to a tuple of canonical spec dicts.
 
@@ -205,12 +216,7 @@ def normalize_backends(backend: Any) -> Tuple[Dict[str, Any], ...]:
     if not entries:
         entries = [None]
     specs = [normalize_backend(entry) for entry in entries]
-    unknown = [s["name"] for s in specs if s["name"] not in BACKENDS]
-    if unknown:
-        raise ValueError(
-            f"unknown simulation backends {unknown}; "
-            f"choose from {sorted(BACKENDS)}"
-        )
+    check_backend_names([s["name"] for s in specs])
     for spec in specs:
         # Instantiate once so bad parameters surface here (ValueError),
         # not as a crashed worker halfway through a sweep.

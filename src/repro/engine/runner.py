@@ -17,7 +17,11 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 from repro.engine.algorithms import ALGORITHMS
 from repro.engine.jobs import Job, expand_jobs
-from repro.engine.registry import GRAPH_FAMILIES, ScenarioSpec
+from repro.engine.registry import (
+    GRAPH_FAMILIES,
+    ScenarioSpec,
+    check_backend_names,
+)
 from repro.engine.store import SCHEMA_VERSION, ResultStore
 from repro.exceptions import WorkerCrashError
 from repro.model.instance import SteinerForestInstance
@@ -50,7 +54,9 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
     message-level executions (node-program scenarios, conformance
     suites, benchmarks) the axis selects the simulator engine as before.
     Like the network axis, a non-default backend hashes to its own cache
-    key.
+    key. A backend that names no simbackend engine raises ValueError
+    before the instance is built (stored rows still load through
+    :meth:`Job.from_dict`; only running them is refused).
 
     With ``job.profile`` set, a :class:`~repro.perf.PhaseProfiler`
     rides along (attached to the ledger of a ledger solver, as
@@ -63,6 +69,7 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
     that field as ``declines`` (reason → count).
     """
     job = Job.from_dict(job_dict)
+    check_backend_names([job.backend["name"]], f"job {job.key}: ")
     profiler = PhaseProfiler() if job.profile else None
     with maybe_span(profiler, "build_instance"):
         instance = build_instance(job)

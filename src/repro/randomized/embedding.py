@@ -121,9 +121,11 @@ def build_embedding(
 
     A_i(v) is the last entry within ⌊β·2^i⌋ (exact: distances are ints)
     of v's LE list, built from its distance row — the local knowledge
-    the LE-list construction of [14] provides each node with. The
-    communication cost is charged from real simulator executions: one
-    hop-capped multi-source Bellman–Ford per level sweep.
+    the LE-list construction of [14] provides each node with. Every list,
+    and the truncation set S (the first ``truncate_at`` nodes of the
+    walk), is read off one walk of the rank permutation in reverse: no
+    row is sorted. The communication cost is charged from real simulator
+    executions: one hop-capped multi-source Bellman–Ford per level sweep.
     """
     nodes = list(graph.nodes)
     n = len(nodes)
@@ -134,12 +136,12 @@ def build_embedding(
     wd = graph.weighted_diameter()
     levels = max(1, math.ceil(math.log2(max(2, wd)))) + 1
 
+    descending = permutation[::-1]
+
     s_nodes: Set[Node] = set()
     nearest_s: Dict[Node, Optional[Node]] = {v: None for v in nodes}
     if truncate_at is not None and truncate_at > 0:
-        s_nodes = set(
-            sorted(nodes, key=lambda v: rank[v], reverse=True)[:truncate_at]
-        )
+        s_nodes = set(descending[:truncate_at])
         # Voronoi decomposition w.r.t. S, hop-capped at Õ(√n) (Lemma G.2):
         # executed for real on the simulator.
         hop_cap = max(
@@ -158,7 +160,7 @@ def build_embedding(
     ancestors: Dict[Node, List[Node]] = {}
     truncation_level: Dict[Node, int] = {}
     for v in nodes:
-        le_list = le_list_of_row(apd[v], rank)
+        le_list = le_list_of_row(apd[v], descending)
         chain: List[Node] = []
         cutoff = levels
         for i, radius in enumerate(radii):

@@ -15,36 +15,60 @@ This module computes LE lists both centrally, from one distance row
 (the lists :mod:`repro.randomized.embedding` reads its ancestors off),
 and via a round-counted distributed emulation (Bellman–Ford-style
 relaxations where a node forwards only entries that survive its own
-list — the standard algorithm).
+list — the standard algorithm). Both read a list off one walk of the
+row's nodes in decreasing rank: u is in LE(v) exactly when wd(v, u) is
+strictly below the distance of every higher-ranked node, so a running
+minimum finds the entries and no row is sorted by distance. The
+embedding walks its rank permutation backwards; the distributed pruning
+sorts a partial row's own keys by rank.
 """
 
-from typing import Dict, List, Optional, Tuple
+import math
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.congest.run import CongestRun
 from repro.model.graph import Node, WeightedGraph
 
 
 def le_list_of_row(
-    row: Dict[Node, int], rank: Dict[Node, int]
+    row: Dict[Node, int], descending: Iterable[Node]
 ) -> List[Tuple[int, Node]]:
-    """The LE list of the node whose distance row is ``row``: the
-    record-rank nodes in (distance, −rank) order, a total order because
-    ``rank`` is a permutation."""
-    ordered = sorted(row, key=lambda u: (row[u], -rank[u]))
+    """The LE list of the node whose distance row is ``row``: its
+    record-rank nodes in (distance, −rank) order.
+
+    ``descending`` walks the nodes of ``row`` in decreasing rank. A node is
+    a record exactly when its distance is strictly below that of every
+    higher-ranked node, so one pass keeps a running minimum and needs no
+    sort; it stops at the first distance-0 node, below which nothing can
+    be closer.
+    """
     result: List[Tuple[int, Node]] = []
-    best_rank = -1
-    for u in ordered:
-        if rank[u] > best_rank:
-            best_rank = rank[u]
-            result.append((row[u], u))
+    best = math.inf
+    for u in descending:
+        d = row[u]
+        if d < best:
+            best = d
+            result.append((d, u))
+            if not d:
+                break
+    result.reverse()
     return result
+
+
+def _by_rank_descending(
+    nodes: Iterable[Node], rank: Dict[Node, int]
+) -> List[Node]:
+    """``nodes`` in decreasing rank, the walk :func:`le_list_of_row` takes."""
+    return sorted(nodes, key=rank.__getitem__, reverse=True)
 
 
 def le_list_reference(
     graph: WeightedGraph, rank: Dict[Node, int], v: Node
 ) -> List[Tuple[int, Node]]:
-    """LE(v) computed from v's distance row (the specification)."""
-    return le_list_of_row(graph.all_pairs_distances([v])[v], rank)
+    """LE(v) read off v's whole distance row (the lists the distributed
+    emulation must reproduce)."""
+    row = graph.all_pairs_distances([v])[v]
+    return le_list_of_row(row, _by_rank_descending(row, rank))
 
 
 def distributed_le_lists(
@@ -66,7 +90,11 @@ def distributed_le_lists(
     }
 
     def prune(v: Node) -> None:
-        lists[v] = {u: d for d, u in le_list_of_row(lists[v], rank)}
+        row = lists[v]
+        lists[v] = {
+            u: d
+            for d, u in le_list_of_row(row, _by_rank_descending(row, rank))
+        }
 
     changed = {v: dict(lists[v]) for v in graph.nodes}
     while any(changed.values()):

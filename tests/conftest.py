@@ -68,3 +68,14 @@ def make_random_instance(seed, n_range=(8, 16), k_range=(1, 3),
         components.append(nodes[idx: idx + size])
         idx += size
     return instance_from_components(graph, components)
+
+
+def le_list_by_sort(row, rank):
+    """The LE-list specification: sort the row by (distance, −rank) and
+    keep each node that out-ranks every node before it."""
+    expected, best = [], -1
+    for u in sorted(row, key=lambda u: (row[u], -rank[u])):
+        if rank[u] > best:
+            best = rank[u]
+            expected.append((row[u], u))
+    return expected

@@ -199,6 +199,24 @@ class TestExecuteJob:
         second["metrics"].pop("wall_time")
         assert first == second
 
+    def test_unknown_backend_rejected_before_the_build(self, monkeypatch):
+        """A stored row with a backend that names no engine still loads,
+        but running it fails with the spec's error text and the job key,
+        before any instance is built."""
+        job = expand_jobs(tiny_spec(algorithms=("moat",)))[0].to_dict()
+        job["backend"] = "bogus"
+        key = Job.from_dict(job).key
+
+        def no_build(job):
+            raise AssertionError("instance built for an unknown backend")
+
+        monkeypatch.setattr("repro.engine.runner.build_instance", no_build)
+        with pytest.raises(ValueError) as excinfo:
+            execute_job(job)
+        message = str(excinfo.value)
+        assert f"job {key}: unknown simulation backends ['bogus']" in message
+        assert "choose from" in message
+
     def test_metrics_present(self):
         spec = tiny_spec(algorithms=("distributed",))
         record = execute_job(expand_jobs(spec)[0].to_dict())

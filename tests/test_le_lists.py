@@ -73,7 +73,8 @@ class TestReference:
                     if rank[u] > best:
                         best = rank[u]
                         expected.append((row[u], u))
-                assert le_list_of_row(row, rank) == expected
+                descending = sorted(row, key=rank.__getitem__, reverse=True)
+                assert le_list_of_row(row, descending) == expected
 
 
 class TestDistributed:

@@ -13,6 +13,8 @@ from repro.model.transforms import (
     components_to_requests,
     requests_to_components,
 )
+from repro.randomized.le_lists import le_list_of_row
+from tests.conftest import le_list_by_sort
 
 
 @st.composite
@@ -105,3 +107,39 @@ class TestModelProperties:
             <= g.shortest_path_diameter()
             <= g.weighted_diameter()
         )
+
+
+_NODE_LABELS = {
+    "int": lambda i: i,
+    "str": lambda i: f"v{i}",
+    "tuple": lambda i: (i % 3, i // 3),
+}
+
+
+@st.composite
+def ranked_rows(draw):
+    """A rank permutation over 1–24 nodes of one label type and a
+    distance row over a subset of them (a partial row, as the
+    distributed pruning sees): distances from a small range, so many
+    are equal, with zero more likely than any other value, as
+    zero-weight edges give."""
+    label = _NODE_LABELS[draw(st.sampled_from(sorted(_NODE_LABELS)))]
+    nodes = [label(i) for i in range(draw(st.integers(1, 24)))]
+    ranks = draw(st.permutations(range(len(nodes))))
+    rank = dict(zip(nodes, ranks))
+    present = draw(st.lists(st.booleans(), min_size=len(nodes),
+                            max_size=len(nodes)))
+    distance = st.one_of(st.just(0), st.integers(0, 4))
+    row = {u: draw(distance) for u, keep in zip(nodes, present) if keep}
+    return row, rank
+
+
+class TestLeListProperties:
+    @given(ranked_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_walk_matches_distance_sort(self, case):
+        """One walk in decreasing rank with a running minimum gives the
+        list the (distance, −rank) sort gives."""
+        row, rank = case
+        descending = sorted(row, key=rank.__getitem__, reverse=True)
+        assert le_list_of_row(row, descending) == le_list_by_sort(row, rank)

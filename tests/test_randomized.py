@@ -2,10 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from repro.congest import CongestRun
+from repro.congest.bellman_ford import bellman_ford
+from repro.congest.bfs import build_bfs_tree
 from repro.exact import steiner_forest_cost
 from repro.model import ForestSolution
 from repro.randomized import (
@@ -14,7 +17,13 @@ from repro.randomized import (
     first_stage_selection,
     randomized_steiner_forest,
 )
-from tests.conftest import make_random_instance
+from repro.randomized.embedding import (
+    _BETA_RESOLUTION,
+    _measure_embedding_paths,
+)
+from repro.randomized.le_lists import ancestor_from_le_list
+from repro.workloads import random_connected_graph, torus_graph
+from tests.conftest import le_list_by_sort, make_random_instance
 
 
 class TestEmbedding:
@@ -70,6 +79,98 @@ class TestEmbedding:
     def test_rounds_charged(self, grid44):
         _, run = self._embed(grid44)
         assert run.rounds > 0
+
+
+def _sort_based_embedding(graph, run, rng, truncate_at):
+    """``build_embedding`` as it was when every distance row was sorted
+    by (distance, −rank) and S was the rank-sorted prefix of all nodes."""
+    nodes = list(graph.nodes)
+    n = len(nodes)
+    permutation = list(nodes)
+    rng.shuffle(permutation)
+    rank = {v: i for i, v in enumerate(permutation)}
+    beta = 1 + Fraction(rng.randrange(_BETA_RESOLUTION), _BETA_RESOLUTION)
+    wd = graph.weighted_diameter()
+    levels = max(1, math.ceil(math.log2(max(2, wd)))) + 1
+    s_nodes = set()
+    nearest_s = {v: None for v in nodes}
+    if truncate_at is not None and truncate_at > 0:
+        s_nodes = set(
+            sorted(nodes, key=lambda v: rank[v], reverse=True)[:truncate_at]
+        )
+        hop_cap = max(
+            1, math.isqrt(n) * max(1, math.ceil(math.log2(max(2, n)))))
+        voronoi = bellman_ford(
+            graph,
+            {v: (Fraction(0), v) for v in sorted(s_nodes, key=repr)},
+            run,
+            max_iterations=hop_cap,
+        )
+        for v in nodes:
+            nearest_s[v] = voronoi.tag.get(v)
+    apd = graph.all_pairs_distances()
+    radii = [(beta.numerator << i) // beta.denominator for i in range(levels)]
+    ancestors, truncation_level = {}, {}
+    for v in nodes:
+        le_list = le_list_by_sort(apd[v], rank)
+        chain, cutoff = [], levels
+        for i, radius in enumerate(radii):
+            best = ancestor_from_le_list(le_list, radius)
+            if s_nodes and best in s_nodes:
+                cutoff = i
+                break
+            chain.append(best)
+        ancestors[v] = chain
+        truncation_level[v] = cutoff
+    build_bfs_tree(graph, run)
+    hop_bound, max_paths = _measure_embedding_paths(graph, ancestors, nearest_s)
+    run.charge_rounds(levels * max(1, hop_bound), "LE-list level sweeps")
+    return {
+        "ancestors": ancestors,
+        "truncation_level": truncation_level,
+        "s_nodes": s_nodes,
+        "nearest_s": nearest_s,
+        "max_paths": max_paths,
+    }
+
+
+class TestEmbeddingMatchesSortedRows:
+    """The rank walk changes no output of the embedding: every field and
+    the ledger's rounds and messages equal those of the sort-based
+    construction, with and without truncation."""
+
+    @pytest.mark.parametrize("truncate_at", [None, 16])
+    @pytest.mark.parametrize("family", ["gnp256", "torus16"])
+    def test_same_embedding_and_ledger(self, family, truncate_at):
+        graph_rng = random.Random(7)
+        graph = (
+            random_connected_graph(256, 0.03, graph_rng)
+            if family == "gnp256"
+            else torus_graph(16, 16, graph_rng)
+        )
+        for seed in (0, 1):
+            run = CongestRun(graph)
+            emb = build_embedding(
+                graph, run, random.Random(seed), truncate_at=truncate_at
+            )
+            spec_run = CongestRun(graph)
+            spec = _sort_based_embedding(
+                graph, spec_run, random.Random(seed), truncate_at
+            )
+            assert emb.ancestors == spec["ancestors"]
+            assert emb.truncation_level == spec["truncation_level"]
+            assert emb.s_nodes == spec["s_nodes"]
+            assert emb.nearest_s == spec["nearest_s"]
+            assert emb.max_paths_per_node == spec["max_paths"]
+            assert (run.rounds, run.messages) == (
+                spec_run.rounds, spec_run.messages
+            )
+            if truncate_at:
+                assert len(emb.s_nodes) == truncate_at
+                assert any(
+                    level < emb.levels
+                    for level in emb.truncation_level.values()
+                )
 
 
 class TestFirstStage:
