@@ -82,7 +82,9 @@ def pipelined_filtered_upcast(
             the end of a merge phase). Prefixes are finalized using the
             pipelining invariant: after depth + i rounds the i smallest
             surviving merges are at the root, so each prefix is offered
-            once, in increasing length.
+            once, in increasing length, each extending the last by one
+            merge. Callers may rely on this: the distributed solver's
+            predicate applies only the newest merge of each prefix.
 
     Returns the accepted merges in ascending order.
 

@@ -58,19 +58,19 @@ Theorem 4.17.
 """
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.congest.bfs import build_bfs_tree
+from repro.congest.bfs import BFSTree, build_bfs_tree
 from repro.congest.bellman_ford import bellman_ford
 from repro.congest.broadcast import broadcast_items, upcast_items
 from repro.congest.pipeline import MergeItem, pipelined_filtered_upcast
 from repro.congest.run import CongestRun
+from repro.core.moat import MoatPartition
 from repro.exceptions import SimulationError
 from repro.model.graph import Edge, Node, canonical_edge
 from repro.model.instance import SteinerForestInstance
 from repro.model.solution import ForestSolution
 from repro.perf.profiler import maybe_span
-from repro.util import UnionFind
 
 
 class AcceptedMerge:
@@ -139,78 +139,27 @@ class DistributedResult:
         )
 
 
-class _MoatBookkeeping:
-    """Moat partition / label / activity state, replicated at every node.
-
-    After each phase the accepted merges are broadcast, so every node tracks
-    this state locally with identical deterministic updates (Algorithm 1
-    lines 20–33). The class is also used as the ``stop_predicate`` engine:
-    simulating a candidate prefix tells whether its last merge changes some
-    terminal's activity status, which ends the merge phase.
-    """
-
-    def __init__(self, instance: SteinerForestInstance) -> None:
-        self.terminals = tuple(sorted(instance.terminals, key=repr))
-        self.moats = UnionFind(self.terminals)
-        self.label: Dict[Node, Hashable] = {}
-        self.active: Dict[Node, bool] = {}
-        components = instance.components
-        for v in self.terminals:
-            self.label[v] = instance.label(v)
-            self.active[v] = len(components[instance.label(v)]) >= 2
-
-    def clone(self) -> "_MoatBookkeeping":
-        other = object.__new__(_MoatBookkeeping)
-        other.terminals = self.terminals
-        other.moats = UnionFind(self.terminals)
-        for v in self.terminals:
-            other.moats.union(v, self.moats.find(v))
-        # The fresh union-find may elect different representatives, so
-        # normalize: give *every* terminal its moat's current label and
-        # activity, making lookups valid under any representative choice.
-        other.label = {v: self.label[self.rep(v)] for v in self.terminals}
-        other.active = {v: self.active[self.rep(v)] for v in self.terminals}
-        return other
-
-    def rep(self, v: Node) -> Node:
-        return self.moats.find(v)
-
-    def is_active(self, v: Node) -> bool:
-        return self.active[self.rep(v)]
-
-    def snapshot(self) -> Tuple[bool, ...]:
-        return tuple(self.is_active(v) for v in self.terminals)
-
-    def has_active(self) -> bool:
-        return any(self.is_active(v) for v in self.terminals)
-
-    def apply_merge(self, a: Node, b: Node) -> bool:
-        """Merge the moats of terminals a and b; returns True if some
-        terminal's activity status changed (phase boundary)."""
-        before = self.snapshot()
-        ra, rb = self.rep(a), self.rep(b)
-        if ra == rb:
-            return False
-        label_a, label_b = self.label[ra], self.label[rb]
-        self.moats.union(ra, rb)
-        new_rep = self.rep(a)
-        if label_a != label_b:
-            for t in self.terminals:
-                r = self.rep(t)
-                if self.label[r] == label_b:
-                    self.label[r] = label_a
-        self.label[new_rep] = label_a
-        reps_with_label = {
-            self.rep(t)
-            for t in self.terminals
-            if self.label[self.rep(t)] == label_a
-        }
-        self.active[new_rep] = len(reps_with_label) > 1
-        return self.snapshot() != before
-
-    def component_map(self) -> Dict[Node, Node]:
-        """terminal → moat representative (the Kruskal filter's base)."""
-        return {v: self.rep(v) for v in self.terminals}
+def share_terminal_labels(
+    instance: SteinerForestInstance, run: CongestRun
+) -> BFSTree:
+    """Setup of Sections 4.1 and 4.2: build a BFS tree and make every
+    (v, λ(v)) pair global knowledge by an upcast and a broadcast over it
+    (O(D + t) rounds, charged to the ``setup`` phase)."""
+    graph = instance.graph
+    run.set_phase("setup")
+    tree = build_bfs_tree(graph, run)
+    labels = instance.labels
+    terminal_labels = upcast_items(
+        tree,
+        {
+            v: [(v, labels[v])]
+            for v in graph.nodes
+            if labels.get(v) is not None
+        },
+        run,
+    )
+    broadcast_items(tree, terminal_labels, run)
+    return tree
 
 
 def distributed_moat_growing(
@@ -234,21 +183,8 @@ def distributed_moat_growing(
     # ------------------------------------------------------------------
     # Step 1: BFS tree; make (v, λ(v)) global knowledge. O(D + t) rounds.
     # ------------------------------------------------------------------
-    run.set_phase("setup")
-    tree = build_bfs_tree(graph, run)
-    labels = instance.labels
-    terminal_labels = upcast_items(
-        tree,
-        {
-            v: [(v, labels[v])]
-            for v in graph.nodes
-            if labels.get(v) is not None
-        },
-        run,
-    )
-    broadcast_items(tree, terminal_labels, run)
-
-    state = _MoatBookkeeping(instance)
+    tree = share_terminal_labels(instance, run)
+    state = MoatPartition(instance)
 
     # Per-node geometry, replicated consistently after each phase broadcast;
     # leftovers and distances are ints on the grid 1/scale.
@@ -411,12 +347,15 @@ def distributed_moat_growing(
         # --------------------------------------------------------------
         # Step (c): pipelined filtered collection with phase-end stop.
         # --------------------------------------------------------------
+        # The upcast offers each finalized prefix once, in increasing
+        # length, so the check applies only the newest merge of each.
+        trial = state.copy()
+        offered: List[MergeItem] = []
+
         def phase_ends_with(prefix: List[MergeItem]) -> bool:
-            sim = state.clone()
-            changed = False
-            for item in prefix:
-                changed = sim.apply_merge(item.a, item.b)
-            return changed
+            assert len(prefix) == len(offered) + 1, "prefixes grow by one"
+            offered.append(prefix[-1])
+            return trial.merge(prefix[-1].a, prefix[-1].b)
 
         accepted = pipelined_filtered_upcast(
             tree, local_candidates, base, run, stop_predicate=phase_ends_with
@@ -425,10 +364,11 @@ def distributed_moat_growing(
             raise SimulationError(
                 "no candidate merges found although active moats remain"
             )
+        assert offered == accepted, "every accepted merge was offered"
 
         # --------------------------------------------------------------
         # Step (d): broadcast the accepted merges; all nodes update their
-        # replicated bookkeeping locally.
+        # replicated partition locally, to the trial state above.
         # --------------------------------------------------------------
         mus = [Fraction(item.key[0], 2 * scale) for item in accepted]
         broadcast_items(
@@ -450,7 +390,8 @@ def distributed_moat_growing(
                     path=path,
                 )
             )
-            state.apply_merge(item.a, item.b)
+
+        state = trial
 
         # An odd µ key lies off the grid 1/scale: double the grid.
         mu_phase = accepted[-1].key[0]

@@ -24,6 +24,7 @@ Lemma C.4, is a certified lower bound on the optimum — the test-suite and
 benchmarks use it to verify the 2-approximation without exact solvers.
 """
 
+from collections import Counter
 from fractions import Fraction
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
@@ -135,36 +136,42 @@ class MoatGrowingResult:
         )
 
 
-class _MoatSystem:
-    """Shared mutable state of Algorithms 1 and 2.
+class MoatPartition:
+    """The moat partition of the terminals, with labels and activity.
 
-    Tracks the moat partition of the terminals (union-find), per-moat labels
-    and activity flags (keyed by union-find representative), and per-terminal
-    radii. Exposes the event computation and the merge transition exactly as
-    the pseudocode's lines 10–33 prescribe.
+    One union-find over the terminals (sorted by ``repr``), and per moat
+    (keyed by its representative) the label it carries and its activity
+    flag. A moat is active iff another moat carries its label
+    (Algorithm 1 lines 20–33); a singleton input component is satisfied
+    from the start. Algorithms 1 and 2 and the Section 4.1 emulation,
+    which replicates this state at every node, all use this class.
     """
 
     def __init__(self, instance: SteinerForestInstance) -> None:
-        self.instance = instance
-        self.graph = instance.graph
         self.terminals: Tuple[Node, ...] = tuple(
             sorted(instance.terminals, key=repr)
         )
         self.moats = UnionFind(self.terminals)
         self.label: Dict[Node, Hashable] = {}
         self.active: Dict[Node, bool] = {}
-        self.rad: Dict[Node, Fraction] = {
-            v: Fraction(0) for v in self.terminals
-        }
         components = instance.components
         for v in self.terminals:
             self.label[v] = instance.label(v)
-            # A singleton input component is satisfied from the start.
             self.active[v] = len(components[instance.label(v)]) >= 2
-        self.forest_uf = UnionFind(self.graph.nodes)
-        self.forest_edges: Set[Edge] = set()
-        # next_event reads terminal pairs only: |T| rows, not n.
-        self._dist = self.graph.all_pairs_distances(self.terminals)
+
+    def copy(self) -> "MoatPartition":
+        """An independent copy: later merges on either side leave the
+        other unchanged."""
+        other = object.__new__(MoatPartition)
+        other.terminals = self.terminals
+        other.moats = UnionFind(self.terminals)
+        for v in self.terminals:
+            other.moats.union(v, self.moats.find(v))
+        # The fresh union-find may elect other representatives, so give
+        # every terminal its moat's label and activity.
+        other.label = {v: self.label[self.rep(v)] for v in self.terminals}
+        other.active = {v: self.active[self.rep(v)] for v in self.terminals}
+        return other
 
     # -- state queries --------------------------------------------------
 
@@ -174,9 +181,6 @@ class _MoatSystem:
     def is_active(self, v: Node) -> bool:
         return self.active[self.rep(v)]
 
-    def moat_label(self, v: Node) -> Hashable:
-        return self.label[self.rep(v)]
-
     def active_moat_count(self) -> int:
         reps = {self.rep(v) for v in self.terminals}
         return sum(1 for r in reps if self.active[r])
@@ -184,8 +188,73 @@ class _MoatSystem:
     def has_active(self) -> bool:
         return any(self.active[self.rep(v)] for v in self.terminals)
 
-    def activity_snapshot(self) -> Dict[Node, bool]:
-        return {v: self.is_active(v) for v in self.terminals}
+    def component_map(self) -> Dict[Node, Node]:
+        """terminal → moat representative."""
+        return {v: self.rep(v) for v in self.terminals}
+
+    # -- transitions -----------------------------------------------------
+
+    def _activity_rule(self) -> Dict[Node, bool]:
+        """moat representative → whether another moat carries its label."""
+        reps = {self.rep(t) for t in self.terminals}
+        carriers = Counter(self.label[r] for r in reps)
+        return {r: carriers[self.label[r]] >= 2 for r in reps}
+
+    def merge(self, v: Node, w: Node, keep_active: bool = False) -> bool:
+        """Merge the moats of v and w (pseudocode lines 20–33).
+
+        With ``keep_active`` (Algorithm 2) the merged moat stays active
+        until the next :meth:`recompute_activity`; otherwise (Algorithm 1)
+        its activity follows the rule at once. Returns whether some
+        terminal's activity changed: the merge-phase boundary of
+        Definition 4.3. Only the merged moat's flag is written, so only
+        its terminals can flip.
+        """
+        rv, rw = self.rep(v), self.rep(w)
+        assert rv != rw, "a merge joins two distinct moats"
+        label_v, label_w = self.label[rv], self.label[rw]
+        was = (self.active[rv], self.active[rw])
+        self.moats.union(rv, rw)
+        new_rep = self.rep(v)
+        # Relabel: every moat carrying label_w now carries label_v.
+        if label_v != label_w:
+            for t in self.terminals:
+                r = self.rep(t)
+                if self.label[r] == label_w:
+                    self.label[r] = label_v
+        self.label[new_rep] = label_v
+        now = keep_active or self._activity_rule()[new_rep]
+        self.active[new_rep] = now
+        return was != (now, now)
+
+    def recompute_activity(self) -> bool:
+        """Apply the activity rule to every moat (Algorithm 2's growth-phase
+        checkpoint, lines 20–25); returns whether some terminal's activity
+        changed."""
+        rule = self._activity_rule()
+        changed = any(self.active[r] != now for r, now in rule.items())
+        self.active.update(rule)
+        return changed
+
+
+class _MoatSystem(MoatPartition):
+    """Shared mutable state of Algorithms 1 and 2.
+
+    The moat partition plus per-terminal radii, the terminal distance
+    rows and the emitted forest. Exposes the event computation, the
+    growth step and the path emission of the pseudocode.
+    """
+
+    def __init__(self, instance: SteinerForestInstance) -> None:
+        super().__init__(instance)
+        self.graph = instance.graph
+        self.rad: Dict[Node, Fraction] = {
+            v: Fraction(0) for v in self.terminals
+        }
+        self.forest_uf = UnionFind(self.graph.nodes)
+        self.forest_edges: Set[Edge] = set()
+        # next_event reads terminal pairs only: |T| rows, not n.
+        self._dist = self.graph.all_pairs_distances(self.terminals)
 
     # -- event computation (pseudocode lines 10–14) ----------------------
 
@@ -240,48 +309,6 @@ class _MoatSystem:
                 self.forest_edges.add(edge)
         return path, frozenset(added)
 
-    def merge(self, v: Node, w: Node, always_active: bool) -> None:
-        """Merge the moats of v and w (pseudocode lines 20–33).
-
-        ``always_active`` distinguishes Algorithm 2 (merged moats stay
-        active until the next growth-phase checkpoint) from Algorithm 1
-        (activity re-evaluated immediately).
-        """
-        rv, rw = self.rep(v), self.rep(w)
-        assert rv != rw
-        label_v, label_w = self.label[rv], self.label[rw]
-        self.moats.union(rv, rw)
-        new_rep = self.rep(v)
-        # Relabel: every moat carrying label_w now carries label_v.
-        if label_v != label_w:
-            for t in self.terminals:
-                r = self.rep(t)
-                if self.label[r] == label_w:
-                    self.label[r] = label_v
-        self.label[new_rep] = label_v
-        if always_active:
-            self.active[new_rep] = True
-        else:
-            self.active[new_rep] = not self._label_class_is_single_moat(
-                label_v
-            )
-
-    def _label_class_is_single_moat(self, label: Hashable) -> bool:
-        reps = {
-            self.rep(t) for t in self.terminals if self.moat_label(t) == label
-        }
-        return len(reps) <= 1
-
-    def recompute_all_activity(self) -> None:
-        """Growth-phase checkpoint of Algorithm 2 (lines 20–25): a moat is
-        active iff another moat carries the same label."""
-        reps = {self.rep(t) for t in self.terminals}
-        label_count: Dict[Hashable, int] = {}
-        for r in reps:
-            label_count[self.label[r]] = label_count.get(self.label[r], 0) + 1
-        for r in reps:
-            self.active[r] = label_count[self.label[r]] >= 2
-
 
 def moat_growing(
     instance: SteinerForestInstance, profiler: Optional[Any] = None
@@ -309,11 +336,9 @@ def moat_growing(
             mu, v, w = event
             index += 1
             active_count = system.active_moat_count()
-            before = system.activity_snapshot()
             system.grow(mu)
             path, added = system.emit_path(v, w)
-            system.merge(v, w, always_active=False)
-            after = system.activity_snapshot()
+            boundary = system.merge(v, w)
             events.append(
                 MergeEvent(
                     index=index,
@@ -323,7 +348,7 @@ def moat_growing(
                     path=path,
                     added_edges=added,
                     active_moats=active_count,
-                    phase_boundary=(before != after),
+                    phase_boundary=boundary,
                 )
             )
     with maybe_span(profiler, "moat/minimal-subforest"):

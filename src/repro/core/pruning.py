@@ -23,13 +23,13 @@ invariant and the tests rely on it.
 """
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.broadcast import broadcast_items, upcast_items
 from repro.congest.run import CongestRun
 from repro.core.matching import maximal_matching_from_proposals
-from repro.model.graph import Edge, Node, canonical_edge
+from repro.model.graph import Node, canonical_edge
 from repro.model.instance import SteinerForestInstance
 from repro.model.solution import ForestSolution
 from repro.perf.profiler import maybe_span
@@ -60,19 +60,6 @@ class PruningResult:
             f"PruningResult(W={self.solution.weight}, "
             f"rounds={self.rounds}, clusters={self.num_clusters})"
         )
-
-
-def _forest_components(
-    nodes, edges: FrozenSet[Edge]
-) -> List[Set[Node]]:
-    uf = UnionFind(nodes)
-    for u, v in edges:
-        uf.union(u, v)
-    by_root: Dict[Node, Set[Node]] = {}
-    for u, v in edges:
-        for x in (u, v):
-            by_root.setdefault(uf.find(x), set()).add(x)
-    return list(by_root.values())
 
 
 def _grow_clusters(
@@ -135,6 +122,17 @@ def _grow_clusters(
     return leader, iterations
 
 
+def default_sigma(instance: SteinerForestInstance) -> int:
+    """σ = √min{st, n} (Definition 4.18), rounded down and at least 1.
+
+    Computes the shortest-path diameter s, so callers given σ skip it.
+    """
+    graph = instance.graph
+    t = max(1, instance.num_terminals)
+    s = graph.shortest_path_diameter()
+    return max(1, math.isqrt(min(s * t, graph.num_nodes)))
+
+
 def fast_pruning(
     instance: SteinerForestInstance,
     forest: ForestSolution,
@@ -149,11 +147,8 @@ def fast_pruning(
     graph = instance.graph
     if run is None:
         run = CongestRun(graph)
-    n = graph.num_nodes
-    t = max(1, instance.num_terminals)
     if sigma is None:
-        s = graph.shortest_path_diameter()
-        sigma = max(1, math.isqrt(min(s * t, n)))
+        sigma = default_sigma(instance)
 
     run.set_phase("pruning")
     tree = build_bfs_tree(graph, run)
@@ -173,7 +168,7 @@ def fast_pruning(
         adjacency[u].add(v)
         adjacency[v].add(u)
 
-    components = _forest_components(graph.nodes, forest.edges)
+    components = forest.components()
     num_clusters = 0
     for component in components:
         # Step 2/3: small components prune locally in O(σ) rounds; larger

@@ -76,16 +76,14 @@ def rounded_moat_growing(
                 mu, v, w = event
             index += 1
             active_count = system.active_moat_count()
-            before = system.activity_snapshot()
             if event is None or cumulative + mu >= mu_hat:
                 # Growth-phase checkpoint (pseudocode lines 16–26): clamp the
                 # growth at µ̂, merge nothing, re-evaluate every moat's activity.
                 clamped = mu_hat - cumulative
                 system.grow(clamped)
                 cumulative += clamped
-                system.recompute_all_activity()
+                boundary = system.recompute_activity()
                 mu_hat *= growth_factor
-                after = system.activity_snapshot()
                 events.append(
                     MergeEvent(
                         index=index,
@@ -95,7 +93,7 @@ def rounded_moat_growing(
                         path=[],
                         added_edges=frozenset(),
                         active_moats=active_count,
-                        phase_boundary=(before != after),
+                        phase_boundary=boundary,
                     )
                 )
                 continue
@@ -104,8 +102,7 @@ def rounded_moat_growing(
             system.grow(mu)
             cumulative += mu
             path, added = system.emit_path(v, w)
-            system.merge(v, w, always_active=True)
-            after = system.activity_snapshot()
+            boundary = system.merge(v, w, keep_active=True)
             events.append(
                 MergeEvent(
                     index=index,
@@ -115,7 +112,7 @@ def rounded_moat_growing(
                     path=path,
                     added_edges=added,
                     active_moats=active_count,
-                    phase_boundary=(before != after),
+                    phase_boundary=boundary,
                 )
             )
     with maybe_span(profiler, "rounded/minimal-subforest"):

@@ -32,13 +32,13 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.congest.bfs import build_bfs_tree
 from repro.congest.bellman_ford import bellman_ford
 from repro.congest.broadcast import broadcast_items, upcast_items
 from repro.congest.run import CongestRun
+from repro.core.distributed import share_terminal_labels
 from repro.core.matching import maximal_matching_from_proposals
 from repro.core.moat import MergeEvent, MoatGrowingResult
-from repro.core.pruning import fast_pruning
+from repro.core.pruning import default_sigma, fast_pruning
 from repro.core.rounded import rounded_moat_growing
 from repro.model.graph import Edge, Node
 from repro.model.instance import SteinerForestInstance
@@ -120,11 +120,8 @@ def sublinear_moat_growing(
     if run is None:
         run = CongestRun(graph)
     profiler = getattr(run, "profiler", None)
-    n = graph.num_nodes
-    t = max(1, instance.num_terminals)
-    s = graph.shortest_path_diameter()
     if sigma is None:
-        sigma = max(1, math.isqrt(min(s * t, n)))
+        sigma = default_sigma(instance)
 
     with maybe_span(profiler, "central-schedule"):
         central = rounded_moat_growing(instance, epsilon)
@@ -132,17 +129,7 @@ def sublinear_moat_growing(
     # ------------------------------------------------------------------
     # Setup: BFS tree + labels global (as in Section 4.1). O(D + t).
     # ------------------------------------------------------------------
-    run.set_phase("setup")
-    tree = build_bfs_tree(graph, run)
-    terminal_items = upcast_items(
-        tree,
-        {
-            v: ([(v, instance.label(v))] if instance.label(v) is not None else [])
-            for v in graph.nodes
-        },
-        run,
-    )
-    broadcast_items(tree, terminal_items, run)
+    tree = share_terminal_labels(instance, run)
 
     groups = _growth_phase_groups(central.events)
     forest_so_far: Set[Edge] = set()

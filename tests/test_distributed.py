@@ -18,6 +18,7 @@ from repro.exceptions import SimulationError
 from repro.model import SteinerForestInstance
 from repro.perf import make_ledger_run
 from repro.simbackend import numpy_tier_available
+from repro.util import UnionFind
 from tests.conftest import make_random_instance
 
 GOLDEN = json.loads(
@@ -75,6 +76,42 @@ class TestCorrectness:
             for m in dist.merges
         )
         assert central_pairs == dist_pairs
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_each_phase_joins_the_moats_of_the_algorithm_1_phase(self, seed):
+        """After merge phase j the emulation's moats are Algorithm 1's
+        moats after its j-th merge phase (Definition 4.3), its events
+        split after each ``phase_boundary``. The terminal pair naming a
+        merge may differ: the emulation names the tree owners of the
+        crossing edge. Nine of these instances have several phases."""
+        inst = make_random_instance(
+            seed, n_range=(8, 24), k_range=(2, 5), max_weight=50
+        )
+        central_phases = [[]]
+        for event in moat_growing(inst).events:
+            central_phases[-1].append((event.v, event.w))
+            if event.phase_boundary:
+                central_phases.append([])
+        if not central_phases[-1]:
+            central_phases.pop()
+        dist = distributed_moat_growing(inst)
+        dist_phases = [[] for _ in range(dist.num_phases)]
+        for m in dist.merges:
+            dist_phases[m.phase - 1].append((m.terminal_a, m.terminal_b))
+
+        def moats_after_each(phases):
+            moats, history = UnionFind(inst.terminals), []
+            for phase in phases:
+                for a, b in phase:
+                    assert moats.union(a, b), "a merge joins two moats"
+                history.append(
+                    sorted(sorted(map(repr, moat)) for moat in moats.sets())
+                )
+            return history
+
+        assert moats_after_each(dist_phases) == moats_after_each(
+            central_phases
+        )
 
     @pytest.mark.parametrize("seed", range(8))
     def test_phase_bound(self, seed):

@@ -1,13 +1,16 @@
 """Documentation gates: links resolve, the CLI reference is complete.
 
-Run by the CI docs job (and tier-1). Two failure modes are caught:
+Run by the CI docs job (and tier-1). Three failure modes are caught:
 
 * an intra-repo markdown link in ``docs/`` or ``README.md`` pointing at
   a file that does not exist (docs rot silently otherwise);
+* a backticked dotted ``repro.…`` path in those files that no longer
+  names an importable module or attribute (a rename left a row stale);
 * a CLI subcommand that exists in the parser but is not documented in
   ``docs/cli.md`` (new subcommands must ship with reference docs).
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -50,6 +53,49 @@ def test_intra_repo_links_resolve(doc):
     assert not missing, (
         f"{doc.relative_to(REPO_ROOT)} links to missing files: {missing}"
     )
+
+
+#: A code span holding exactly a dotted path into the package.
+_CODE_PATH = re.compile(r"`(repro(?:\.\w+)+)`")
+
+
+def _resolves(path):
+    """Whether ``path`` names a module, or an attribute chain inside the
+    longest importable module prefix. Skips when a module needs an
+    optional dependency that is not installed."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError as error:
+            if error.name and not error.name.startswith("repro"):
+                pytest.skip(f"{path} needs the missing {error.name}")
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "doc", DOC_FILES, ids=[str(p.relative_to(REPO_ROOT)) for p in DOC_FILES]
+)
+def test_code_paths_resolve(doc):
+    paths = sorted(set(_CODE_PATH.findall(doc.read_text(encoding="utf-8"))))
+    stale = [path for path in paths if not _resolves(path)]
+    assert not stale, (
+        f"{doc.relative_to(REPO_ROOT)} names paths that do not resolve: "
+        f"{stale}"
+    )
+
+
+def test_code_path_gate_catches_a_stale_name():
+    assert _resolves("repro.core.moat.MoatPartition.merge")
+    assert _resolves("repro.congest")
+    assert not _resolves("repro.core.distributed._MoatBookkeeping")
+    assert not _resolves("repro.no_such_module")
 
 
 def test_cli_reference_covers_every_subcommand():

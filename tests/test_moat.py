@@ -1,10 +1,11 @@
 """Tests for Algorithm 1 — centralized moat growing (Theorem 4.1)."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from repro.core.moat import moat_growing
+from repro.core.moat import MoatPartition, moat_growing
 from repro.exact import steiner_forest_cost
 from repro.model import SteinerForestInstance, WeightedGraph
 from tests.conftest import make_random_instance
@@ -124,3 +125,76 @@ class TestGuarantees:
         result = moat_growing(inst)
         mus = [e.mu for e in result.events]
         assert all(mu >= 0 for mu in mus)
+
+
+def _activity(partition):
+    return {v: partition.is_active(v) for v in partition.terminals}
+
+
+def _state(partition):
+    """The moats as sets of terminals, and every terminal's activity."""
+    moats = {}
+    for v, r in partition.component_map().items():
+        moats.setdefault(r, set()).add(v)
+    return {frozenset(m) for m in moats.values()}, _activity(partition)
+
+
+class TestMoatPartition:
+    def _pairs_path(self, path5):
+        # Labels a = {0, 1}, b = {3, 4}, c = {2} (satisfied from the start).
+        return SteinerForestInstance(
+            path5, {0: "a", 1: "a", 2: "c", 3: "b", 4: "b"}
+        )
+
+    def test_copy_is_independent_of_its_source(self, path5):
+        source = MoatPartition(self._pairs_path(path5))
+        source.merge(0, 2)
+        copy = source.copy()
+        assert _state(copy) == _state(source)
+        before = _state(source)
+        copy.merge(0, 1)
+        copy.merge(3, 4)
+        assert _state(source) == before
+        assert not copy.has_active()
+        copy_before = _state(copy)
+        source.merge(3, 2)
+        assert _state(copy) == copy_before
+
+    def test_merge_completing_a_label_class_goes_inactive(self, path5):
+        partition = MoatPartition(self._pairs_path(path5))
+        assert partition.merge(0, 1) is True
+        assert not partition.is_active(0) and not partition.is_active(1)
+        assert partition.merge(2, 3) is True  # 2 flips to active
+        assert partition.is_active(2)
+        assert partition.merge(3, 4) is True
+        assert not partition.has_active()
+
+    def test_keep_active_holds_until_recompute(self, path5):
+        partition = MoatPartition(self._pairs_path(path5))
+        assert partition.merge(0, 1, keep_active=True) is False
+        assert partition.is_active(0) and partition.is_active(1)
+        assert partition.active_moat_count() == 3
+        assert partition.recompute_activity() is True
+        assert not partition.is_active(0) and not partition.is_active(1)
+        assert partition.is_active(3)
+        assert partition.recompute_activity() is False
+
+    @pytest.mark.parametrize("keep_active", [False, True])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_return_value_is_exactly_an_activity_flip(self, seed, keep_active):
+        """merge / recompute_activity return True iff some terminal's
+        activity differs afterwards (Definition 4.3's boundary)."""
+        inst = make_random_instance(seed, k_range=(2, 4), comp_size_range=(1, 3))
+        partition = MoatPartition(inst)
+        rng = random.Random(seed)
+        while len(set(partition.component_map().values())) > 1:
+            v, w = rng.sample(partition.terminals, 2)
+            if partition.rep(v) == partition.rep(w):
+                continue
+            before = _activity(partition)
+            flipped = partition.merge(v, w, keep_active=keep_active)
+            assert flipped == (_activity(partition) != before)
+            if rng.random() < 0.3:
+                before = _activity(partition)
+                flipped = partition.recompute_activity()
+                assert flipped == (_activity(partition) != before)

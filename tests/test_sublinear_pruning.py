@@ -47,6 +47,23 @@ class TestSublinear:
         t = inst.num_terminals
         assert result.sigma == max(1, math.isqrt(min(s * t, n)))
 
+    def test_explicit_sigma_skips_the_diameter(self, monkeypatch):
+        """s is read only to default σ: with σ given, neither the solver
+        nor its fast pruning computes it."""
+        inst = make_random_instance(4)
+        want = sublinear_moat_growing(inst, sigma=3)
+
+        def forbidden(graph):
+            raise AssertionError("shortest_path_diameter was called")
+
+        monkeypatch.setattr(
+            type(inst.graph), "shortest_path_diameter", forbidden
+        )
+        got = sublinear_moat_growing(make_random_instance(4), sigma=3)
+        assert got.sigma == 3
+        assert got.rounds == want.rounds
+        assert got.solution.edges == want.solution.edges
+
     def test_trivial_instance(self, grid33):
         inst = SteinerForestInstance(grid33, {0: "x"})
         result = sublinear_moat_growing(inst)
