@@ -16,8 +16,21 @@ of active terminals ``v, w`` in different moats touch after additional growth
     µ =  wd(v, w) − rad(v) − rad(w)               (exactly one active)
 
 so each iteration picks the globally minimal event (ties broken by terminal
-identifiers, the paper's lexicographic convention). Radii are
-:class:`~fractions.Fraction`s since active–active events are half-integral.
+identifiers, the paper's lexicographic convention).
+
+Every radius is a half-sum of integer weights (and, in Algorithm 2, of the
+checkpoint thresholds µ̂), so radii are kept as Python ints on one grid
+1/scale (initially 1), and each event µ is compared as the int key
+µ·2·scale: wd·scale − rad(v) − rad(w) when both moats are active, twice
+that when one is. A step off the grid multiplies ``scale`` by exactly the
+missing denominator — 2 for an odd active–active key — and every radius
+with it. Ties compare the two terminals' repr ranks
+(:attr:`MoatPartition.rank`), which order exactly as their reprs do. Only
+what results expose is a :class:`~fractions.Fraction`: each
+:attr:`MergeEvent.mu`, the final radii and the dual bound.
+``tests/test_solver_references.py`` checks the events against an
+all-pairs search in Fraction arithmetic, and ``tests/test_properties.py``
+the whole run against a copy of the Fraction event loop.
 
 Besides the forest the run records a *dual lower bound* Σᵢ actᵢ·µᵢ which, by
 Lemma C.4, is a certified lower bound on the optimum — the test-suite and
@@ -26,6 +39,7 @@ benchmarks use it to verify the 2-approximation without exact solvers.
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.model.graph import Edge, Node, canonical_edge
@@ -145,12 +159,21 @@ class MoatPartition:
     (Algorithm 1 lines 20–33); a singleton input component is satisfied
     from the start. Algorithms 1 and 2 and the Section 4.1 emulation,
     which replicates this state at every node, all use this class.
+
+    ``rank`` maps each terminal to the rank of its repr among the
+    terminals' distinct reprs (equal reprs share a rank), so ranks order
+    as the reprs of the paper's lexicographic tie-break do.
     """
 
     def __init__(self, instance: SteinerForestInstance) -> None:
         self.terminals: Tuple[Node, ...] = tuple(
             sorted(instance.terminals, key=repr)
         )
+        reprs = [repr(v) for v in self.terminals]  # sorted
+        ranks = {r: i for i, r in enumerate(dict.fromkeys(reprs))}
+        self.rank: Dict[Node, int] = {
+            v: ranks[r] for v, r in zip(self.terminals, reprs)
+        }
         self.moats = UnionFind(self.terminals)
         self.label: Dict[Node, Hashable] = {}
         self.active: Dict[Node, bool] = {}
@@ -164,6 +187,7 @@ class MoatPartition:
         other unchanged."""
         other = object.__new__(MoatPartition)
         other.terminals = self.terminals
+        other.rank = self.rank
         other.moats = UnionFind(self.terminals)
         for v in self.terminals:
             other.moats.union(v, self.moats.find(v))
@@ -240,21 +264,39 @@ class MoatPartition:
 class _MoatSystem(MoatPartition):
     """Shared mutable state of Algorithms 1 and 2.
 
-    The moat partition plus per-terminal radii, the terminal distance
-    rows and the emitted forest. Exposes the event computation, the
-    growth step and the path emission of the pseudocode.
+    The moat partition plus per-terminal radii, the terminal pairs with
+    their distances and the emitted forest. Exposes the event
+    computation, the growth step and the path emission of the pseudocode.
+    Radii are ints on the grid 1/``scale`` (see the module docstring);
+    :attr:`rad` reads them as Fractions.
     """
 
     def __init__(self, instance: SteinerForestInstance) -> None:
         super().__init__(instance)
         self.graph = instance.graph
-        self.rad: Dict[Node, Fraction] = {
-            v: Fraction(0) for v in self.terminals
-        }
+        self.scale = 1
+        #: rad(v)·scale, by v's position in ``terminals``.
+        self._radius = [0] * len(self.terminals)
+        self._position = {v: i for i, v in enumerate(self.terminals)}
         self.forest_uf = UnionFind(self.graph.nodes)
         self.forest_edges: Set[Edge] = set()
-        # next_event reads terminal pairs only: |T| rows, not n.
-        self._dist = self.graph.all_pairs_distances(self.terminals)
+        # next_event reads terminal pairs only: |T| rows, not n. Each pair
+        # (i, j, wd, rank i, rank j) is listed once, i < j in repr order.
+        dist = self.graph.all_pairs_distances(self.terminals)
+        rank = self.rank
+        self._pairs = [
+            (i, j, dist[v][w], rank[v], rank[w])
+            for i, v in enumerate(self.terminals)
+            for j, w in enumerate(self.terminals[i + 1:], i + 1)
+        ]
+
+    @property
+    def rad(self) -> Dict[Node, Fraction]:
+        """terminal → its radius rad(v), a fresh dict of Fractions."""
+        return {
+            v: Fraction(r, self.scale)
+            for v, r in zip(self.terminals, self._radius)
+        }
 
     # -- event computation (pseudocode lines 10–14) ----------------------
 
@@ -262,41 +304,60 @@ class _MoatSystem(MoatPartition):
         """The minimal growth µ at which two distinct moats touch.
 
         Returns (µ, v, w) with v's moat active, or None when no event can
-        ever occur (all moats inactive or only one moat left).
+        ever occur (all moats inactive or only one moat left). Pairs are
+        compared by the int key µ·2·scale, then the repr ranks of the
+        active terminal and the other, as (µ, repr(v), repr(w)) orders.
         """
-        best: Optional[Tuple[Fraction, str, str, Node, Node]] = None
-        for i, v in enumerate(self.terminals):
-            for w in self.terminals[i + 1:]:
-                rv, rw = self.rep(v), self.rep(w)
-                if rv == rw:
-                    continue
-                act_v, act_w = self.active[rv], self.active[rw]
-                if not act_v and not act_w:
-                    continue
-                gap = (
-                    Fraction(self._dist[v][w]) - self.rad[v] - self.rad[w]
-                )
-                if act_v and act_w:
-                    mu = gap / 2
-                else:
-                    mu = gap
-                assert mu >= 0, "moats may not overlap before merging"
-                # Orient so the first terminal is in an active moat.
-                a, b = (v, w) if act_v else (w, v)
-                key = (mu, repr(a), repr(b), a, b)
-                if best is None or key[:3] < best[:3]:
-                    best = key
-        if best is None:
+        position, active = self._position, self.active
+        moat = [position[r] for r in map(self.moats.find, self.terminals)]
+        live = [active[self.terminals[m]] for m in moat]
+        radius, scale = self._radius, self.scale
+        best_key: Optional[int] = None
+        best = (0, 0, 0, 0)  # rank a, rank b, a, b of the best pair so far
+        for i, j, wd, rank_i, rank_j in self._pairs:
+            if moat[i] == moat[j]:
+                continue
+            if live[i]:
+                key = wd * scale - radius[i] - radius[j]
+                if not live[j]:
+                    key *= 2
+                flip = False
+            elif live[j]:
+                key = 2 * (wd * scale - radius[i] - radius[j])
+                flip = True  # orient so the first terminal is active
+            else:
+                continue
+            assert key >= 0, "moats may not overlap before merging"
+            if best_key is not None and key > best_key:
+                continue
+            pair = (rank_j, rank_i, j, i) if flip else (rank_i, rank_j, i, j)
+            if best_key is None or key < best_key or pair[:2] < best[:2]:
+                best_key, best = key, pair
+        if best_key is None:
             return None
-        return best[0], best[3], best[4]
+        terminals = self.terminals
+        return Fraction(best_key, 2 * scale), terminals[best[2]], terminals[best[3]]
 
     # -- transitions -----------------------------------------------------
 
-    def grow(self, mu: Fraction) -> None:
-        """Grow all active moats by µ (pseudocode lines 15–16 / 40–41)."""
-        for v in self.terminals:
-            if self.is_active(v):
-                self.rad[v] += mu
+    def refine(self, factor: int) -> None:
+        """Refine the grid to 1/(scale·factor), rescaling every radius."""
+        if factor > 1:
+            self.scale *= factor
+            self._radius = [r * factor for r in self._radius]
+
+    def on_grid(self, mu: Fraction) -> int:
+        """µ·scale, first refining the grid by µ's missing denominator."""
+        self.refine(mu.denominator // gcd(mu.denominator, self.scale))
+        return mu.numerator * (self.scale // mu.denominator)
+
+    def grow(self, step: int) -> None:
+        """Grow all active moats by step/scale (pseudocode lines 15–16 /
+        40–41)."""
+        radius, active, find = self._radius, self.active, self.moats.find
+        for i, v in enumerate(self.terminals):
+            if active[find(v)]:
+                radius[i] += step
 
     def emit_path(self, v: Node, w: Node) -> Tuple[List[Node], FrozenSet[Edge]]:
         """Add a least-weight v–w path to the forest, dropping cycle edges."""
@@ -336,7 +397,7 @@ def moat_growing(
             mu, v, w = event
             index += 1
             active_count = system.active_moat_count()
-            system.grow(mu)
+            system.grow(system.on_grid(mu))
             path, added = system.emit_path(v, w)
             boundary = system.merge(v, w)
             events.append(
@@ -353,5 +414,5 @@ def moat_growing(
             )
     with maybe_span(profiler, "moat/minimal-subforest"):
         return MoatGrowingResult(
-            instance, frozenset(system.forest_edges), events, dict(system.rad)
+            instance, frozenset(system.forest_edges), events, system.rad
         )

@@ -12,6 +12,7 @@ OPT ≥ dual_lower_bound / (1 + ε/2) (Corollary D.1).
 """
 
 from fractions import Fraction
+from math import gcd
 from typing import Any, List, Optional, Union
 
 from repro.core.moat import MergeEvent, MoatGrowingResult, _MoatSystem
@@ -25,6 +26,37 @@ def _as_fraction(value: Union[int, float, str, Fraction]) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)
+
+
+class _CheckpointedMoats(_MoatSystem):
+    """Algorithm 2's state: the moat system plus the growth so far
+    (``cumulative``) and the next checkpoint µ̂ (``mu_hat``), both ints
+    on the radii's grid 1/scale, so the checkpoint test is an int compare.
+    """
+
+    def __init__(
+        self, instance: SteinerForestInstance, growth_factor: Fraction
+    ) -> None:
+        super().__init__(instance)
+        self.cumulative = 0
+        self.mu_hat = self.scale  # µ̂ = 1
+        self._growth = growth_factor
+
+    def refine(self, factor: int) -> None:
+        super().refine(factor)
+        self.cumulative *= factor
+        self.mu_hat *= factor
+
+    def grow(self, step: int) -> None:
+        super().grow(step)
+        self.cumulative += step
+
+    def raise_threshold(self) -> None:
+        """µ̂ ← µ̂·(1 + ε/2), first refining the grid by the missing
+        denominator of the new µ̂."""
+        num, den = self._growth.numerator, self._growth.denominator
+        self.refine(den // gcd(self.mu_hat * num, den))
+        self.mu_hat = self.mu_hat * num // den
 
 
 def rounded_moat_growing(
@@ -48,20 +80,26 @@ def rounded_moat_growing(
     equals the number of checkpoint events and is O(log WD / ε)
     (Lemma F.1).
 
+    The radii, the growth so far and the threshold µ̂ are ints on one grid
+    1/scale (see :mod:`repro.core.moat`), so the checkpoint test
+    ``cumulative + µ ≥ µ̂`` compares ints. Raising µ̂ by 1 + ε/2 refines
+    the grid by the missing denominator of the new µ̂, so every clamp
+    µ̂ − cumulative is on it. Events carry Fractions as in Algorithm 1;
+    ``tests/test_solver_references.py`` (ε ∈ {"1/10", 0.1, 1/3, 2},
+    weights up to 2^20) and ``tests/test_properties.py`` check the runs
+    against Fraction arithmetic.
+
     Raises:
         ValueError: when ``epsilon`` is not positive.
     """
     eps = _as_fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    growth_factor = 1 + eps / 2
 
     with maybe_span(profiler, "rounded/terminal-rows"):
-        system = _MoatSystem(instance)
+        system = _CheckpointedMoats(instance, 1 + eps / 2)
     events: List[MergeEvent] = []
     index = 0
-    cumulative = Fraction(0)
-    mu_hat = Fraction(1)
     with maybe_span(profiler, "rounded/event-loop"):
         while system.has_active():
             event = system.next_event()
@@ -70,24 +108,21 @@ def rounded_moat_growing(
             # checkpoints), so a merge event need not exist — e.g. when a single
             # moat remains. The pseudocode's min over an empty set is +∞ and the
             # µ̂ test then forces a checkpoint.
-            if event is None:
-                mu, v, w = mu_hat - cumulative, None, None
-            else:
+            if event is not None:
                 mu, v, w = event
+                step = system.on_grid(mu)
             index += 1
             active_count = system.active_moat_count()
-            if event is None or cumulative + mu >= mu_hat:
+            if event is None or system.cumulative + step >= system.mu_hat:
                 # Growth-phase checkpoint (pseudocode lines 16–26): clamp the
                 # growth at µ̂, merge nothing, re-evaluate every moat's activity.
-                clamped = mu_hat - cumulative
+                clamped = system.mu_hat - system.cumulative
                 system.grow(clamped)
-                cumulative += clamped
                 boundary = system.recompute_activity()
-                mu_hat *= growth_factor
                 events.append(
                     MergeEvent(
                         index=index,
-                        mu=clamped,
+                        mu=Fraction(clamped, system.scale),
                         v=None,
                         w=None,
                         path=[],
@@ -96,11 +131,11 @@ def rounded_moat_growing(
                         phase_boundary=boundary,
                     )
                 )
+                system.raise_threshold()
                 continue
             # Regular merge (pseudocode lines 28–39); the merged moat stays
             # active until the next checkpoint.
-            system.grow(mu)
-            cumulative += mu
+            system.grow(step)
             path, added = system.emit_path(v, w)
             boundary = system.merge(v, w, keep_active=True)
             events.append(
@@ -117,7 +152,7 @@ def rounded_moat_growing(
             )
     with maybe_span(profiler, "rounded/minimal-subforest"):
         return MoatGrowingResult(
-            instance, frozenset(system.forest_edges), events, dict(system.rad)
+            instance, frozenset(system.forest_edges), events, system.rad
         )
 
 

@@ -113,6 +113,38 @@ class TestCorrectness:
             central_phases
         )
 
+    @pytest.mark.parametrize("seed", [79, 175])
+    def test_weight_agrees_where_equal_mu_ties_split_phases(self, seed):
+        """On these seeds the two tie-breaks at equal µ end a merge phase
+        at different merges, so the per-phase moats differ; the final
+        weights still agree."""
+        inst = make_random_instance(
+            seed, n_range=(8, 24), k_range=(2, 5), max_weight=50
+        )
+        central = moat_growing(inst)
+        dist = distributed_moat_growing(inst)
+        assert dist.solution.weight == central.solution.weight
+
+    @pytest.mark.parametrize("seed", [79, 175, *range(20)])
+    def test_merges_happen_at_algorithm_1_growth_levels(self, seed):
+        """The emulation's merges happen at the levels of total growth of
+        Algorithm 1's merges (each AcceptedMerge.mu counts from its phase
+        start, which is the previous phase's last µ)."""
+        inst = make_random_instance(
+            seed, n_range=(8, 24), k_range=(2, 5), max_weight=50
+        )
+        central, total = set(), 0
+        for event in moat_growing(inst).events:
+            total += event.mu
+            central.add(total)
+        emulated, phase_start, level, phase = set(), 0, 0, None
+        for m in distributed_moat_growing(inst).merges:
+            if m.phase != phase:
+                phase, phase_start = m.phase, level
+            level = phase_start + m.mu
+            emulated.add(level)
+        assert emulated == central
+
     @pytest.mark.parametrize("seed", range(8))
     def test_phase_bound(self, seed):
         """Lemma 4.4: at most 2k merge phases."""

@@ -179,6 +179,29 @@ class TestMoatPartition:
         assert partition.is_active(3)
         assert partition.recompute_activity() is False
 
+    def test_rank_orders_as_repr_and_equal_reprs_share_it(self):
+        class Named:
+            def __init__(self, name):
+                self.name = name
+
+            def __repr__(self):
+                return self.name
+
+        a1, a2, b = Named("a"), Named("a"), Named("b")
+        graph = WeightedGraph(
+            [a1, a2, b, 10, "x"],
+            [(a1, a2, 1), (a2, b, 1), (b, 10, 1), (10, "x", 1)],
+        )
+        inst = SteinerForestInstance(graph, {a1: 0, a2: 0, b: 1, 10: 1, "x": 2})
+        partition = MoatPartition(inst)
+        rank = partition.rank
+        assert rank[a1] == rank[a2]
+        for v in partition.terminals:
+            for w in partition.terminals:
+                assert (rank[v] < rank[w]) == (repr(v) < repr(w))
+        assert sorted(rank.values()) == [0, 1, 2, 2, 3]
+        assert partition.copy().rank == rank
+
     @pytest.mark.parametrize("keep_active", [False, True])
     @pytest.mark.parametrize("seed", range(20))
     def test_return_value_is_exactly_an_activity_flip(self, seed, keep_active):

@@ -8,12 +8,15 @@ all-pairs distances, a scan of every node per (node, level) pair against
 a ``Fraction`` radius, and a Bellman–Ford in ``Fraction`` arithmetic.
 Each must agree exactly, including dict order and value types, on
 tie-heavy graphs (unit-weight torus and ring, equal-weight gnp) with int,
-str and mixed-type nodes.
+str and mixed-type nodes. The moat events are checked for Algorithm 1 and
+for Algorithm 2 at several ε, also with weights up to 2^20, so the int
+radius grid of ``repro.core.moat`` is exercised deep.
 """
 
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import networkx as nx
 import pytest
@@ -98,24 +101,80 @@ def _events(result):
     return [(e.mu, e.v, e.w, e.path) for e in result.events]
 
 
+def _assert_matches_reference(monkeypatch, solve, build):
+    """``solve(build())`` gives the same events, radii and solution with
+    ``next_event`` replaced by the reference."""
+    got = solve(build())
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            _MoatSystem,
+            "next_event",
+            lambda self: reference_next_event(
+                self, self.graph.all_pairs_distances()
+            ),
+        )
+        # A fresh graph, so the reference shares no cached row with the run.
+        want = solve(build())
+    assert _events(got) == _events(want)
+    assert list(got.radii.items()) == list(want.radii.items())
+    assert got.solution.edges == want.solution.edges
+
+
 @pytest.mark.parametrize("solve", [moat_growing, rounded_moat_growing])
 @pytest.mark.parametrize("family,kind", GRAPHS)
 @pytest.mark.parametrize("seed", range(3))
 def test_moat_events_match_all_pairs_reference(
     monkeypatch, solve, family, kind, seed
 ):
-    got = solve(_tie_instance(tie_graph(family, kind, seed), seed))
-    monkeypatch.setattr(
-        _MoatSystem,
-        "next_event",
-        lambda self: reference_next_event(
-            self, self.graph.all_pairs_distances()
-        ),
+    _assert_matches_reference(
+        monkeypatch, solve, lambda: _tie_instance(tie_graph(family, kind, seed), seed)
     )
-    # A fresh graph, so the reference shares no cached row with the run.
-    want = solve(_tie_instance(tie_graph(family, kind, seed), seed))
-    assert _events(got) == _events(want)
-    assert got.solution.edges == want.solution.edges
+
+
+#: ε as job records spell it (str), as a float, as an exact Fraction with
+#: an odd denominator, and above 1: each puts other denominators on the
+#: radius grid.
+EPSILONS = ["1/10", 0.1, Fraction(1, 3), 2]
+
+
+@pytest.mark.parametrize("epsilon", EPSILONS, ids=str)
+@pytest.mark.parametrize("family,kind", GRAPHS)
+@pytest.mark.parametrize("seed", range(2))
+def test_rounded_events_match_all_pairs_reference(
+    monkeypatch, epsilon, family, kind, seed
+):
+    _assert_matches_reference(
+        monkeypatch,
+        partial(rounded_moat_growing, epsilon=epsilon),
+        lambda: _tie_instance(tie_graph(family, kind, seed), seed),
+    )
+
+
+def deep_graph(family, kind, seed):
+    """``tie_graph``'s topology with random weights up to 2^20: long runs
+    of growth phases and odd keys make deep grids."""
+    graph = tie_graph(family, kind, seed)
+    rng = random.Random(seed)
+    return WeightedGraph(
+        list(graph.nodes),
+        [(u, v, rng.randint(1, 1 << 20)) for u, v, _ in graph.edges()],
+    )
+
+
+DEEP_EPSILONS = ["1/10", Fraction(1, 3), 2]  # 0.1 is 1/10 again
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [moat_growing]
+    + [partial(rounded_moat_growing, epsilon=eps) for eps in DEEP_EPSILONS],
+    ids=["moat"] + [f"rounded-{eps}" for eps in DEEP_EPSILONS],
+)
+@pytest.mark.parametrize("family", ["torus", "ring", "gnp"])
+def test_deep_grid_events_match_all_pairs_reference(monkeypatch, solve, family):
+    _assert_matches_reference(
+        monkeypatch, solve, lambda: _tie_instance(deep_graph(family, "mixed", 0), 0)
+    )
 
 
 # ---------------------------------------------------------------------
