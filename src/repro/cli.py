@@ -314,7 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="committed benchmark JSON to gate (repeatable; default: "
-        "BENCH_profile.json and BENCH_backends.json where present)",
+        "the BENCH_profile, _serve, _observe, _store and _numpy JSON "
+        "files where present)",
     )
     bench_check.add_argument(
         "--max-n",
@@ -585,7 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         metavar="ENGINE",
-        help="restrict to one simulation backend "
+        help="restrict to one ledger backend "
         f"({', '.join(sorted(BACKENDS))})",
     )
     report.add_argument(
@@ -644,8 +645,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         action="append",
         default=None,
         metavar="SPEC",
-        help="override the simulation-backend axis (repeatable): an "
-        f"engine name ({', '.join(sorted(BACKENDS))}), "
+        help="override the ledger-backend axis (repeatable): a "
+        f"tier name ({', '.join(sorted(BACKENDS))}), "
         "NAME:key=value,..., or a JSON spec object",
     )
     verbosity = parser.add_mutually_exclusive_group()
@@ -1090,7 +1091,6 @@ def _cmd_bench(args) -> int:
             name
             for name in (
                 "BENCH_profile.json",
-                "BENCH_backends.json",
                 "BENCH_serve.json",
                 "BENCH_observe.json",
                 "BENCH_store.json",

@@ -154,9 +154,10 @@ class CongestRun:
 
         One message per entry; each entry must already be a canonical
         edge of the graph with at most one occurrence per direction this
-        round (the caller — e.g. the flat-array simulation backend —
-        guarantees this structurally, so re-validating per message would
-        only re-pay the cost :meth:`tick` exists to amortize). Keeps the
+        round (the caller — e.g. :meth:`tick_edges` over a graph's
+        cached out-edges — guarantees this structurally, so re-validating
+        per message would only re-pay the cost :meth:`tick` exists to
+        amortize). Keeps the
         charging rules (message count + per-edge counters) owned by the
         ledger, with the same end state as ``tick(traffic)``. The
         argument must be sized (a list, a tuple): anything else raises

@@ -28,26 +28,26 @@ Example::
             else:
                 ctx.halt()
 
-The :class:`Simulator` itself is a facade: the round loop is owned by a
-pluggable :class:`~repro.simbackend.SimulationBackend` (see
-:mod:`repro.simbackend`) — the default ``reference`` engine reproduces
-the original per-node-object loop exactly, and ``flatarray`` runs the
-same execution on a compiled integer-indexed topology.
+The :class:`Simulator` owns its one round loop: dict outboxes keyed by
+(sender, receiver) node pairs, one :class:`Context` per node, canonical
+flush order via ``node_sort_key``, delivery through
+``network.schedule``. ``tests/fixtures/simulator_golden.json`` pins its
+executions.
 """
 
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.congest.run import CongestRun
-from repro.exceptions import SimulationError
+from repro.exceptions import CongestViolationError, SimulationError
 from repro.model.graph import Node, WeightedGraph
 from repro.netmodel import (
     NetworkModel,
     TraceRecorder,
     build_network_model,
     node_sort_key,
+    payload_bits,
 )
-from repro.simbackend import Context, SimulationBackend, build_backend
 
 __all__ = [
     "Context",
@@ -56,6 +56,30 @@ __all__ = [
     "FloodMaxLeaderElection",
     "EchoBroadcast",
 ]
+
+
+class Context:
+    """Per-node view handed to a NodeProgram each round."""
+
+    def __init__(self, simulator: "Simulator", node: Node) -> None:
+        """Bind the view to one node of the simulator's graph."""
+        self._simulator = simulator
+        self.node_id = node
+        self.neighbors = simulator.graph.neighbors(node)
+        self.round = 0
+
+    def edge_weight(self, neighbor: Node) -> int:
+        """Weight of the incident edge to ``neighbor``."""
+        return self._simulator.graph.weight(self.node_id, neighbor)
+
+    def send(self, neighbor: Node, payload: Any) -> None:
+        """Queue one message for delivery next round (≤ 1 per neighbor)."""
+        self._simulator._queue_message(self.node_id, neighbor, payload)
+
+    def halt(self) -> None:
+        """Mark this node as explicitly terminated (Section 2's notion of
+        termination; a halted node no longer receives on_round calls)."""
+        self._simulator._halted.add(self.node_id)
 
 
 class NodeProgram:
@@ -86,11 +110,6 @@ class Simulator:
     :class:`~repro.netmodel.TraceRecorder` captures per-message and
     per-round traffic events.
 
-    Execution is delegated to a :class:`~repro.simbackend.
-    SimulationBackend`: the default ``reference`` engine is the original
-    loop, and every other engine is conformance-pinned to produce the
-    identical execution (see :mod:`repro.simbackend`).
-
     Args:
         graph: the network topology.
         programs: one :class:`NodeProgram` per node.
@@ -99,9 +118,6 @@ class Simulator:
             dict, a registered model name, or None for ``reliable``.
         trace: recorder for message/volume trace events.
         net_seed: seed for the network model's RNG (loss/delay draws).
-        backend: the execution engine — a backend instance, a canonical
-            spec dict, a registered backend name, or None for
-            ``reference``.
     """
 
     def __init__(
@@ -112,7 +128,6 @@ class Simulator:
         network: Any = None,
         trace: Optional[TraceRecorder] = None,
         net_seed: int = 0,
-        backend: Any = None,
     ) -> None:
         if set(programs) != set(graph.nodes):
             raise SimulationError("every node needs exactly one program")
@@ -122,40 +137,133 @@ class Simulator:
         self.network: NetworkModel = build_network_model(network)
         self.network.bind(graph, random.Random(net_seed))
         self.trace = trace
-        self.backend: SimulationBackend = build_backend(backend)
-        self.backend.bind(graph, programs, self.run, self.network, trace)
+        #: The current round index (0 before the first step).
+        self.round = 0
+        self.contexts = {v: Context(self, v) for v in graph.nodes}
+        self._outbox: Dict[Tuple[Node, Node], Any] = {}
+        #: Scheduled messages by absolute delivery round; entries keep
+        #: their flush order, so delivery stays deterministic.
+        self._in_flight: Dict[int, List[Tuple[Node, Node, Any]]] = {}
+        self._halted: set = set()
 
-    # -- delegation to the execution engine ------------------------------
-
-    @property
-    def contexts(self) -> Dict[Node, Context]:
-        """The per-node Context objects."""
-        return self.backend.contexts
-
-    @property
-    def round(self) -> int:
-        """The current round index (0 before the first step)."""
-        return self.backend.round
+    def _queue_message(self, sender: Node, receiver: Node, payload: Any) -> None:
+        # The CONGEST send contract: edges only, one message per neighbor
+        # per round.
+        if not self.graph.has_edge(sender, receiver):
+            raise CongestViolationError(
+                f"{sender!r} cannot reach non-neighbor {receiver!r}"
+            )
+        key = (sender, receiver)
+        if key in self._outbox:
+            raise CongestViolationError(
+                f"{sender!r} already sent to {receiver!r} this round"
+            )
+        self._outbox[key] = payload
 
     @property
     def all_halted(self) -> bool:
         """Every node has halted or been removed by the network model
         (crashed nodes count as terminated)."""
-        return self.backend.all_halted
+        if len(self._halted) == len(self.graph.nodes):
+            return True
+        if not self.network.removes_nodes:
+            return False
+        return all(
+            v in self._halted or not self.network.alive(v)
+            for v in self.graph.nodes
+        )
 
     @property
     def has_pending(self) -> bool:
         """Messages queued or in flight."""
-        return self.backend.has_pending
+        return bool(self._outbox) or bool(self._in_flight)
 
     def start(self) -> None:
         """Run every program's on_start (round 0, local only)."""
-        self.backend.start()
+        for v in self.graph.nodes:
+            self.programs[v].on_start(self.contexts[v])
+
+    def _flush_outbox(self) -> Dict[Tuple[Node, Node], int]:
+        """Hand queued messages to the network model; returns the ledger
+        traffic for this round (canonical flush order, payload-blind)."""
+        traffic: Dict[Tuple[Node, Node], int] = {}
+        # Canonical flush order depends on the (sender, receiver) key only,
+        # never on the payload, and on a type-stable total order, never on
+        # ``repr`` (under which ``repr(9) > repr(10)``).
+        sent = sorted(
+            self._outbox.items(),
+            key=lambda item: (
+                node_sort_key(item[0][0]), node_sort_key(item[0][1])
+            ),
+        )
+        self._outbox = {}
+        removes_nodes = self.network.removes_nodes
+        for (sender, receiver), payload in sent:
+            if removes_nodes and not self.network.alive(sender):
+                # The sender crashed before its queued send hit the wire.
+                self.network.stats["lost_sender_crashed"] += 1
+                if self.trace is not None:
+                    self.trace.record_lost(
+                        self.round, sender, receiver, "sender_crashed"
+                    )
+                continue
+            traffic[(sender, receiver)] = 1
+            delivery_rounds = self.network.schedule(
+                sender, receiver, payload, self.round
+            )
+            for when in delivery_rounds:
+                if when < self.round:
+                    raise SimulationError(
+                        f"network model {self.network.name!r} scheduled a "
+                        f"delivery in the past (round {when} < {self.round})"
+                    )
+                self._in_flight.setdefault(when, []).append(
+                    (sender, receiver, payload)
+                )
+            if self.trace is not None:
+                self.trace.record_send(
+                    self.round, sender, receiver, payload, delivery_rounds
+                )
+        return traffic
 
     def step(self) -> bool:
         """Execute one synchronous round; returns False when quiescent
         (no messages queued or in flight, and/or all nodes halted)."""
-        return self.backend.step()
+        if not self.has_pending or self.all_halted:
+            return False
+        self.round += 1
+        self.network.begin_round(self.round)
+        traffic = self._flush_outbox()
+        self.run.tick(traffic)
+        due = self._in_flight.pop(self.round, [])
+        inboxes: Dict[Node, List[Tuple[Node, Any]]] = {}
+        delivered = dropped = bits = 0
+        removes_nodes = self.network.removes_nodes
+        for sender, receiver, payload in due:
+            if removes_nodes and not self.network.alive(receiver):
+                dropped += 1
+                self.network.stats["lost_receiver_crashed"] += 1
+                if self.trace is not None:
+                    self.trace.record_lost(
+                        self.round, sender, receiver, "receiver_crashed"
+                    )
+                continue
+            inboxes.setdefault(receiver, []).append((sender, payload))
+            delivered += 1
+            bits += payload_bits(payload)
+        for v in self.graph.nodes:
+            if v in self._halted or (
+                removes_nodes and not self.network.alive(v)
+            ):
+                continue
+            ctx = self.contexts[v]
+            ctx.round = self.round
+            self.programs[v].on_round(ctx, inboxes.get(v, []))
+        if self.trace is not None:
+            self.trace.record_round(
+                self.round, len(traffic), delivered, dropped, bits
+            )
+        return True
 
     def run_to_completion(self, max_rounds: int = 100_000) -> int:
         """start() + step() until quiescence; returns rounds executed.
@@ -163,9 +271,29 @@ class Simulator:
         ``max_rounds`` is inclusive: quiescing in exactly ``max_rounds``
         rounds succeeds, and :class:`SimulationError` is raised as soon as
         the limit is reached with work still pending (never executing a
-        ``max_rounds + 1``-th round).
+        ``max_rounds + 1``-th round). The trace is closed when the
+        execution ends, completed or dying, so a streaming JSONL file is
+        never left on an open handle.
         """
-        return self.backend.run_to_completion(max_rounds=max_rounds)
+        self.start()
+        rounds = 0
+        try:
+            while self.has_pending and not self.all_halted:
+                if rounds >= max_rounds:
+                    raise SimulationError(
+                        f"node programs did not quiesce in {max_rounds} rounds"
+                    )
+                self.step()
+                rounds += 1
+        except BaseException:
+            # Best-effort cleanup; the original error is what matters.
+            try:
+                self.close()
+            except Exception:
+                pass
+            raise
+        self.close()
+        return rounds
 
     def close(self) -> None:
         """Release any streaming trace handle (idempotent;

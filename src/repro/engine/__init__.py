@@ -29,12 +29,12 @@ first-class subsystem:
 
 Scenario specs carry a **network axis** (:mod:`repro.netmodel`) and a
 **backend axis** (:mod:`repro.simbackend`): each job is the cross
-product of graph family × algorithm × network condition × execution
-engine, and every non-default condition/engine hashes to its own
+product of graph family × algorithm × network condition × ledger
+tier, and every non-default condition/tier hashes to its own
 result-store cache key (the clean defaults keep earlier-schema keys).
 Every solver returns one :class:`SolveResult`; for those that charge a
-CONGEST ledger (all but ``moat`` and ``rounded``) the backend also
-selects the ledger engine (:func:`repro.perf.make_ledger_run`) — wall
+CONGEST ledger (all but ``moat`` and ``rounded``) the backend selects
+the ledger (:func:`repro.perf.make_ledger_run`) — wall
 time changes, results never do — and a spec's ``profile`` flag rides a
 :class:`repro.perf.PhaseProfiler` along, landing per-phase breakdowns
 on the records (schema v5).

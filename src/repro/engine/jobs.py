@@ -84,11 +84,11 @@ class Job:
             is *omitted* from :meth:`identity`, so default-network jobs
             keep the exact cache keys and derived seeds of schema-v1
             stores; every non-default condition hashes to its own key.
-        backend: canonical simulation-backend spec (see
+        backend: canonical ledger-backend spec (see
             :func:`repro.simbackend.normalize_backend`). Mirrors the
-            network axis: the default ``reference`` engine is *omitted*
+            network axis: the default ``reference`` spec is *omitted*
             from :meth:`identity` (schema-v2 cache keys unchanged), and
-            every non-default engine hashes to its own key.
+            every non-default spec hashes to its own key.
         seed_index: repetition index within the spec.
         exact: whether to compute the exact optimum and ratio.
         profile: collect a phase-level profile (rounds / messages /

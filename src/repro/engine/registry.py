@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Tup
 from repro.engine.algorithms import ALGORITHMS
 from repro.model.graph import WeightedGraph
 from repro.netmodel import NETWORK_MODELS, build_network_model, normalize_network
-from repro.simbackend import BACKENDS, build_backend, normalize_backend
+from repro.simbackend import BACKENDS, normalize_backend, validate_backend
 from repro.workloads import (
     TERMINAL_PLACEMENTS,
     broom_graph,
@@ -196,7 +196,7 @@ def normalize_networks(network: Any) -> Tuple[Dict[str, Any], ...]:
 
 def check_backend_names(names: Iterable[str], context: str = "") -> None:
     """Raise ValueError, prefixed by ``context``, when a name in ``names``
-    is not a simbackend engine."""
+    is not a ledger tier name."""
     unknown = [name for name in names if name not in BACKENDS]
     if unknown:
         raise ValueError(
@@ -209,8 +209,8 @@ def normalize_backends(backend: Any) -> Tuple[Dict[str, Any], ...]:
     """Normalize a spec's backend axis to a tuple of canonical spec dicts.
 
     Accepts one backend shorthand or a list/tuple of them (the sweep
-    axis); validates engine names against the simbackend registry so bad
-    specs fail at construction time, not mid-sweep.
+    axis); validates tier names and parameters so bad specs fail at
+    construction time, not mid-sweep.
     """
     entries = backend if isinstance(backend, (list, tuple)) else [backend]
     if not entries:
@@ -218,9 +218,7 @@ def normalize_backends(backend: Any) -> Tuple[Dict[str, Any], ...]:
     specs = [normalize_backend(entry) for entry in entries]
     check_backend_names([s["name"] for s in specs])
     for spec in specs:
-        # Instantiate once so bad parameters surface here (ValueError),
-        # not as a crashed worker halfway through a sweep.
-        build_backend(spec)
+        validate_backend(spec)
     return tuple(specs)
 
 
@@ -242,10 +240,10 @@ class ScenarioSpec:
             model name, a ``{"model", "params"}`` spec, or a list of
             either to sweep. Normalized to a tuple of canonical spec
             dicts; defaults to the clean ``reliable`` channel.
-        backend: simulation backend(s) to cross the scenario with — an
-            engine name, a ``{"name", "params"}`` spec, or a list of
+        backend: ledger backend(s) to cross the scenario with — a
+            tier name, a ``{"name", "params"}`` spec, or a list of
             either to sweep. Normalized like the network axis; defaults
-            to the ``reference`` engine.
+            to the ``reference`` ledger.
         seeds: number of independent repetitions per grid point.
         exact: whether to also compute the exact optimum (exponential
             time — keep instances small) and record the ratio.

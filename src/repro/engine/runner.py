@@ -50,11 +50,9 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
     change wall time but — by the tiers' conformance pin — nothing
     observable: weights, rounds, messages, per-edge traffic, and
     cache-relevant outputs are byte-identical to ``reference``
-    (``flatarray`` runs the same Python path as ``reference``). For
-    message-level executions (node-program scenarios, conformance
-    suites, benchmarks) the axis selects the simulator engine as before.
-    Like the network axis, a non-default backend hashes to its own cache
-    key. A backend that names no simbackend engine raises ValueError
+    (``flatarray`` runs the same code as ``reference``). Like the
+    network axis, a non-default backend hashes to its own cache key. A
+    backend that names no ledger tier raises ValueError
     before the instance is built (stored rows still load through
     :meth:`Job.from_dict`; only running them is refused).
 
@@ -76,9 +74,9 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
     algorithm = ALGORITHMS[job.algorithm]
     rng = random.Random(job.algorithm_seed())
     ledger = None
-    # Ledger construction is inside the timed window: the flatarray/auto
-    # engines pay their topology compile there, so stored wall_time rows
-    # compare backends end-to-end (same clock placement as
+    # Ledger construction is inside the timed window: the numpy tier
+    # pays its array compile there, so stored wall_time rows compare
+    # backends end-to-end (same clock placement as
     # benchmarks/bench_e18_profile.py).
     started = time.perf_counter()
     if algorithm.accepts_run:

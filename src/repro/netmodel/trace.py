@@ -9,8 +9,8 @@ assertions — the same append-only format as the engine's result store
 and the telemetry bus.
 
 Resource discipline: the recorder is a context manager, and the
-simulation backends close it when an execution completes or dies
-(:meth:`repro.simbackend.base.SimulationBackend.run_to_completion`), so
+simulator closes it when an execution completes or dies
+(:meth:`repro.congest.simulator.Simulator.run_to_completion`), so
 a streaming trace file is never left on an open handle. Closing is
 idempotent and does not end the recorder's life — a later event reopens
 the stream in append mode, continuing the same file.

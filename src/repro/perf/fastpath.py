@@ -8,12 +8,12 @@ communication primitives (:mod:`repro.congest.bfs`,
 :class:`~repro.congest.run.CongestRun`. Each primitive has one Python
 path, which walks the topology its graph argument caches (sorted
 neighbor tuples, node reprs, canonical edges; see
-:class:`~repro.model.graph.WeightedGraph`), so every ledger is as fast
-as any other on it. Ledgers differ only in how they charge traffic:
+:class:`~repro.model.graph.WeightedGraph`). Ledgers differ only in how
+they charge traffic:
 
-* ``reference`` and ``flatarray`` build a :class:`CongestRun` (the
-  latter as :class:`FastCongestRun`, the same ledger under its own
-  type);
+* ``reference`` and ``flatarray`` build ledgers that run identical
+  code: a :class:`CongestRun`, the latter as :class:`FastCongestRun`,
+  the same ledger under its own type;
 * ``numpy`` builds a :class:`repro.perf.npkernels.NumpyCongestRun`,
   which keeps per-edge traffic in an array and runs the regular
   primitives as array kernels when they run on the ledger's own graph.
@@ -30,7 +30,7 @@ from repro.simbackend import (
     AUTO_THRESHOLD_NODES,
     NUMPY_THRESHOLD_NODES,
     choose_engine_name,
-    normalize_backend,
+    validate_backend,
 )
 
 
@@ -55,40 +55,32 @@ def make_ledger_run(
 ) -> CongestRun:
     """Build the ledger a solver should charge, per backend spec.
 
-    The ledger-level counterpart of :func:`repro.simbackend.
-    build_backend`, used by the experiment runner and the CLI to thread
-    the ``--backend`` axis into the paper's solvers:
+    Used by the experiment runner and the CLI to thread the
+    ``--backend`` axis into the paper's solvers:
 
     * ``reference`` → a plain :class:`CongestRun`;
     * ``flatarray`` → a :class:`FastCongestRun`;
-    * ``numpy`` → a :class:`repro.perf.npkernels.NumpyCongestRun` (only
-      reachable when the optional numpy extra registered the tier —
-      otherwise the shared validation rejects the name);
-    * ``auto`` → the size heuristic shared with
-      :class:`~repro.simbackend.AutoBackend` (``threshold`` and
-      ``numpy_threshold`` params honored), so ``backend="auto"`` picks
-      consistently across message-level and ledger-level executions.
+    * ``numpy`` → a :class:`repro.perf.npkernels.NumpyCongestRun` (a
+      valid name only when numpy imports);
+    * ``auto`` → the tier :func:`~repro.simbackend.choose_engine_name`
+      picks for the graph's node count (``threshold`` and
+      ``numpy_threshold`` params honored).
 
     Raises:
-        ValueError: on unknown backend names or parameters — validated
-            through the same :func:`~repro.simbackend.build_backend`
-            path as the simulator facade, so one ``--backend`` spec is
-            either valid at both levels or rejected at both.
+        ValueError: on unknown backend names or parameters
+            (:func:`~repro.simbackend.validate_backend`).
     """
-    from repro.simbackend import build_backend
-
-    spec = normalize_backend(backend)
-    build_backend(spec)  # uniform name/parameter validation
+    spec = validate_backend(backend)
     name = spec["name"]
     if name == "auto":
-        threshold = int(spec["params"].get("threshold", AUTO_THRESHOLD_NODES))
-        numpy_threshold = int(
-            spec["params"].get("numpy_threshold", NUMPY_THRESHOLD_NODES)
+        name = choose_engine_name(
+            graph.num_nodes,
+            spec["params"].get("threshold", AUTO_THRESHOLD_NODES),
+            spec["params"].get("numpy_threshold", NUMPY_THRESHOLD_NODES),
         )
-        name = choose_engine_name(graph.num_nodes, threshold, numpy_threshold)
     if name == "numpy":
         # Import deferred (and guaranteed to succeed): the spec passed
-        # validation, so the numpy tier is registered ⇒ numpy imports.
+        # validation, so numpy imports.
         from repro.perf.npkernels import NumpyCongestRun
 
         try:

@@ -34,10 +34,9 @@ the exact python branch instead of losing precision. Conformance is
 exact, never approximate.
 
 This module imports numpy at module scope **on purpose**: when numpy is
-absent the import fails cleanly and the registries simply never grow a
-``numpy`` tier (see :mod:`repro.simbackend` and
-:func:`repro.perf.make_ledger_run`), keeping the reference path
-dependency-free.
+absent the import fails cleanly and ``numpy`` is not a valid tier name
+(see :mod:`repro.simbackend` and :func:`repro.perf.make_ledger_run`),
+keeping the reference path dependency-free.
 """
 
 import math

@@ -2,8 +2,7 @@
 
 Re-runs a pinned subset of the committed benchmark trajectory —
 ``BENCH_profile.json`` (the distributed Steiner-forest pipeline per
-ledger engine), ``BENCH_backends.json`` (FloodMax per simulation
-backend), ``BENCH_serve.json`` (daemon load), ``BENCH_observe.json``
+ledger engine), ``BENCH_serve.json`` (daemon load), ``BENCH_observe.json``
 (observability overhead), ``BENCH_store.json`` (indexed vs full-scan
 store lookup), and ``BENCH_numpy.json`` (the regular-primitives
 pipeline per ledger tier) — and compares against the committed entries:
@@ -178,30 +177,6 @@ def measure_pipeline(
     return entry, fingerprint
 
 
-def measure_floodmax(
-    workload: Dict[str, Any], n: int, backend: str
-) -> Tuple[Dict[str, Any], Any]:
-    """One BENCH_backends entry: FloodMax leader election on
-    ``G(n, p)`` seeded by ``n``, simulator construction inside the
-    clock. The single definition behind both
-    ``benchmarks/bench_e16_backends.py`` and the gate; returns the entry
-    and the execution fingerprint (rounds, messages, elected leaders)."""
-    from repro.congest.simulator import FloodMaxLeaderElection, Simulator
-    from repro.workloads import random_connected_graph
-
-    graph = random_connected_graph(
-        n, float(workload.get("p", 0.35)), random.Random(n)
-    )
-    programs = {v: FloodMaxLeaderElection() for v in graph.nodes}
-    started = time.perf_counter()
-    sim = Simulator(graph, programs, backend=backend)
-    rounds = sim.run_to_completion()
-    elapsed = time.perf_counter() - started
-    entry = {"seconds": elapsed, "rounds": rounds, "messages": sim.run.messages}
-    leaders = [programs[v].leader for v in graph.nodes]
-    return entry, (rounds, sim.run.messages, leaders)
-
-
 def _measure_serve(
     workload: Dict[str, Any], n: int, backend: str
 ) -> Tuple[Dict[str, Any], None]:
@@ -306,7 +281,6 @@ def measure_primitives(
 #: execution to fingerprint and return ``None``.
 _DRIVERS = {
     "e18-profile": measure_pipeline,
-    "e16-backends": measure_floodmax,
     "e19-serve": _measure_serve,
     "e20-observe": _measure_observe,
     "e21-store": _measure_store,

@@ -1,6 +1,7 @@
 """Tests for the experiment engine (registry, jobs, runner, store)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.engine import (
     run_suite,
 )
 from repro.engine.jobs import Job
+from repro.simbackend import numpy_tier_available
 
 
 def tiny_spec(**overrides):
@@ -482,6 +484,36 @@ class TestBackendAxis:
         assert {job.backend["name"] for job in jobs} == {
             "reference", "flatarray", "auto",
         }
+
+    #: ``Job.key`` of one tiny moat job per ledger spec, pinned when every
+    #: spec still named its own simulator engine: the names outlived the
+    #: engines as ledger specs and must keep hashing to these keys.
+    PINNED_KEYS = [
+        ("flatarray",
+         "b7e7c046e191f45f335194574d73a7848ceeba29df77e73a16b015579c886496"),
+        ("numpy",
+         "c04e530a0c398aecc6f291077a2d55b2c0a0a8782beeb36a7163fd5a4c24098a"),
+        ("auto",
+         "fcdffd329a55472c6da1270843b97a90e882bccb0f3b050b3ad7a76cdd2c13d6"),
+        ({"name": "auto", "params": {"threshold": 2}},
+         "26ef6c628ec6c34c8dbf53a10a7d324f997e59fb20780600e05082c9f6d2c3f1"),
+        ({"name": "auto", "params": {"numpy_threshold": 9}},
+         "e0961801682b979e6514fff8e02d78023ae1471925b21234597c5ad56fa23c86"),
+    ]
+
+    @pytest.mark.parametrize(("backend", "key"), PINNED_KEYS)
+    def test_non_default_ledger_specs_keep_their_keys(self, backend, key):
+        spec = tiny_spec(
+            algorithms=("moat",),
+            grid={"n": 8, "p": 0.4, "k": 2, "component_size": 2},
+        )
+        (job,) = expand_jobs(spec)
+        # Through Job.from_dict, as stored rows load, so the numpy key is
+        # checked without the numpy extra too.
+        assert Job.from_dict(dict(job.to_dict(), backend=backend)).key == key
+        if backend != "numpy" or numpy_tier_available():
+            (direct,) = expand_jobs(replace(spec, backend=backend))
+            assert direct.key == key
 
     def test_algorithm_seed_is_backend_independent(self):
         spec = tiny_spec(backend=self.BACKENDS, algorithms=("moat",))

@@ -91,10 +91,20 @@ requires_numpy = pytest.mark.skipif(
     not numpy_tier_available(), reason="optional numpy extra not installed"
 )
 
+#: ``auto`` resolves a tier from the graph's node count. At these sizes
+#: its default thresholds pick ``reference``; the forced variants make it
+#: pick ``flatarray`` (threshold 1) and ``numpy`` (both thresholds 1), so
+#: every spec the ``--backend`` axis accepts is held to the pins.
+AUTO_FLATARRAY = {"name": "auto", "params": {"threshold": 1}}
+AUTO_NUMPY = {"name": "auto", "params": {"threshold": 1, "numpy_threshold": 1}}
+
 TIERS = [
     "reference",
     "flatarray",
     pytest.param("numpy", marks=requires_numpy),
+    "auto",
+    pytest.param(AUTO_FLATARRAY, id="auto-flatarray"),
+    pytest.param(AUTO_NUMPY, id="auto-numpy", marks=requires_numpy),
 ]
 
 
@@ -141,6 +151,22 @@ def test_fixture_covers_the_matrix(golden):
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_execution_matches_golden(golden, solver, case, tier):
     assert _execute(solver, case, tier) == golden[f"{solver}/{case}"]
+
+
+@pytest.mark.parametrize(
+    ("spec", "ledger"),
+    [
+        ("auto", "CongestRun"),
+        pytest.param(AUTO_FLATARRAY, "FastCongestRun", id="auto-flatarray"),
+        pytest.param(
+            AUTO_NUMPY, "NumpyCongestRun", id="auto-numpy", marks=requires_numpy
+        ),
+    ],
+)
+def test_auto_specs_build_the_ledger_they_stand_for(spec, ledger):
+    # Otherwise the auto rows above would only re-run the reference ledger.
+    run = make_ledger_run(spec, _instance("gnp").graph)
+    assert type(run).__name__ == ledger
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""The perf subsystem: profiler exactness, zero-effect, fast-path
-conformance, and the auto backend.
+"""The perf subsystem: profiler exactness, zero-effect, ledger-tier
+conformance, and the auto ledger spec.
 
 Three contracts are pinned here:
 
@@ -12,9 +12,8 @@ Three contracts are pinned here:
    the algorithm seed ignores the flag.
 3. **Ledger tier conformance** — the distributed and sublinear
    pipelines under every ledger tier (and under ``auto``) reproduce the
-   reference execution field by field across the graph family matrix,
-   mirroring the message-level backend conformance suite (the pins
-   recorded before the tiers shared one path are in
+   reference execution field by field across the graph family matrix
+   (the pins recorded before the tiers shared one path are in
    ``tests/test_ledger_golden.py``).
 """
 
@@ -26,7 +25,6 @@ import pytest
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.broadcast import broadcast_items, upcast_items
 from repro.congest.run import CongestRun
-from repro.congest.simulator import FloodMaxLeaderElection, Simulator
 from repro.core.distributed import distributed_moat_growing
 from repro.core.moat import moat_growing
 from repro.core.sublinear import sublinear_moat_growing
@@ -47,7 +45,6 @@ from repro.perf import (
 from repro.simbackend import (
     AUTO_THRESHOLD_NODES,
     NUMPY_THRESHOLD_NODES,
-    AutoBackend,
     choose_engine_name,
     numpy_tier_available,
 )
@@ -489,8 +486,8 @@ class TestAutoBackend:
         ) is CongestRun
         with pytest.raises(ValueError):
             make_ledger_run("warpdrive", small)
-        # Bad engine parameters are rejected exactly like the simulator
-        # facade rejects them — one --backend spec, one validation path.
+        # Bad parameters are rejected by the one spec validation the
+        # engine's scenario constructor runs too.
         with pytest.raises(ValueError):
             make_ledger_run(
                 {"name": "flatarray", "params": {"typo": 1}}, small
@@ -518,50 +515,3 @@ class TestAutoBackend:
             "params": {"threshold": 64, "numpy_threshold": 1},
         }
         assert type(make_ledger_run(tiny_spec, small)) is CongestRun
-
-    def test_simulator_delegation_picks_by_size(self):
-        graph = random_instance(8, 2, random.Random(2)).graph
-        programs = {v: FloodMaxLeaderElection() for v in graph.nodes}
-        small_sim = Simulator(graph, programs, backend="auto")
-        assert small_sim.backend.name == "auto"
-        assert small_sim.backend.engine.name == "reference"
-        forced = Simulator(
-            graph,
-            {v: FloodMaxLeaderElection() for v in graph.nodes},
-            backend=AutoBackend(threshold=1),
-        )
-        assert forced.backend.engine.name == "flatarray"
-        assert forced.run_to_completion() > 0
-        assert all(
-            p.leader == max(graph.nodes) for p in forced.programs.values()
-        )
-
-    @requires_numpy
-    def test_simulator_delegation_picks_numpy_tier(self):
-        graph = random_instance(8, 2, random.Random(2)).graph
-        forced = Simulator(
-            graph,
-            {v: FloodMaxLeaderElection() for v in graph.nodes},
-            backend=AutoBackend(threshold=1, numpy_threshold=1),
-        )
-        assert forced.backend.engine.name == "numpy"
-        assert forced.run_to_completion() > 0
-        assert all(
-            p.leader == max(graph.nodes) for p in forced.programs.values()
-        )
-
-    def test_spec_round_trip_and_params(self):
-        assert AutoBackend().spec() == {"name": "auto", "params": {}}
-        assert AutoBackend(threshold=7).spec() == {
-            "name": "auto",
-            "params": {"threshold": 7},
-        }
-        assert AutoBackend(numpy_threshold=9).spec() == {
-            "name": "auto",
-            "params": {"numpy_threshold": 9},
-        }
-        assert AUTO_THRESHOLD_NODES > 1
-
-    def test_unbound_engine_raises(self):
-        with pytest.raises(RuntimeError):
-            AutoBackend().engine

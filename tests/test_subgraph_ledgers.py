@@ -28,10 +28,21 @@ requires_numpy = pytest.mark.skipif(
     not numpy_tier_available(), reason="optional numpy extra not installed"
 )
 
+#: Every tier, plus ``auto`` at its default thresholds (``reference`` at
+#: n = 48) and forced onto ``flatarray`` and ``numpy``.
 TIERS = [
     "reference",
     "flatarray",
     pytest.param("numpy", marks=requires_numpy),
+    "auto",
+    pytest.param(
+        {"name": "auto", "params": {"threshold": 1}}, id="auto-flatarray"
+    ),
+    pytest.param(
+        {"name": "auto", "params": {"threshold": 1, "numpy_threshold": 1}},
+        id="auto-numpy",
+        marks=requires_numpy,
+    ),
 ]
 
 
