@@ -18,9 +18,9 @@ setup(
     extras_require={
         # The vectorized execution tier (repro.perf.npkernels and the
         # "numpy" backend), and the graph oracle's Floyd–Warshall pass
-        # for s, WD and every distance row at 32 <= n <= 768
-        # (WeightedGraph._key_matrix) — the reference path never needs
-        # it.
+        # at 32 <= n <= 768 (WeightedGraph._key_matrix), which s, WD,
+        # rank-indexed distance rows and paths are read off — the
+        # reference path never needs it.
         "numpy": ["numpy"],
         "test": ["pytest", "pytest-benchmark"],
     },

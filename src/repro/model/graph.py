@@ -38,7 +38,7 @@ import networkx as nx
 
 from repro.exceptions import GraphValidationError
 
-if TYPE_CHECKING:  # numpy is optional: only the all-rows pass imports it
+if TYPE_CHECKING:  # numpy is optional: only the key-matrix code imports it
     import numpy as np
 
 Node = Hashable
@@ -46,11 +46,12 @@ Edge = Tuple[Node, Node]
 WeightedEdge = Tuple[Node, Node, int]
 
 #: Node counts at which :meth:`WeightedGraph._key_matrix` computes every
-#: row in one O(n^3) numpy pass instead of n Python searches. Measured
-#: against them on gnp, torus and sparse gnp graphs (CPython 3.11,
-#: numpy 2.4, 2-core x86 VM), the pass plus every row ran 0.7-0.9x as
-#: fast at n = 24, 1.4-2.2x at n = 32, 2.5-4.2x at n = 256 and 512,
-#: 1.2-2.0x at n = 768 and 1.05-1.6x at n = 1024.
+#: (distance, hops) pair in one O(n^3) numpy pass, which answers ``s``,
+#: ``WD``, distance rows and (once computed) paths instead of n Python
+#: searches. Measured against them on gnp, torus and sparse gnp graphs
+#: (CPython 3.11, numpy 2.4, 2-core x86 VM), the pass plus a dict per
+#: row ran 0.7-0.9x as fast at n = 24, 1.4-2.2x at n = 32, 2.5-4.2x at
+#: n = 256 and 512, 1.2-2.0x at n = 768 and 1.05-1.6x at n = 1024.
 _FILL_MIN_N = 32
 _FILL_MAX_N = 768
 
@@ -148,6 +149,8 @@ class WeightedGraph:
         self._sssp_cache: Dict[Node, Tuple[Dict[Node, int], array, array]] = {}
         self._metric_cache: Dict[str, int] = {}
         self._keys: Optional["np.ndarray"] = None  # see _key_matrix
+        self._edge_key_arrays: Optional[Tuple["np.ndarray", ...]] = None
+        self._key_parent_rows: Dict[int, array] = {}  # see _key_parents
         if validate:
             self.validate()
 
@@ -415,7 +418,7 @@ class WeightedGraph:
         ):
             return None
         keys = np.full((n, n), inf, dtype=np.intc)
-        src, dst, edge_key = self._edge_keys()
+        src, dst, edge_key, _ = self._edge_keys()
         keys[src, dst] = edge_key
         np.fill_diagonal(keys, 0)
         tmp = np.empty_like(keys)
@@ -425,83 +428,48 @@ class WeightedGraph:
         self._keys = keys
         return keys
 
-    def _edge_keys(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
-        """Every directed edge, in :meth:`_rank_adjacency` order: source
-        ranks, target ranks and keys ``w·2n + 1``."""
-        import numpy as np
+    def _edge_keys(
+        self,
+    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
+        """Every directed edge, in :meth:`_rank_adjacency` order (cached):
+        source ranks, target ranks, keys ``w·2n + 1``, and the offset of
+        each source's first edge."""
+        if self._edge_key_arrays is None:
+            import numpy as np
 
-        adj = self._rank_adjacency()
-        src = np.repeat(np.arange(len(adj)), [len(row) for row in adj])
-        dst = np.array([v for row in adj for v, _ in row], dtype=np.intp)
-        weights = np.array([w for row in adj for _, w in row], dtype=np.intc)
-        return src, dst, weights * (2 * len(adj)) + 1
-
-    def _fill_rows(self) -> None:
-        """Cache every uncached source's tree from :meth:`_key_matrix`,
-        exactly as :meth:`_sssp` would cache it (nothing when that is
-        None). A node's parent is the least rank ``u`` whose key plus
-        the edge's equals its own (the search's tie rule). Its place in
-        the row dict is its first reach: by its earliest-settled
-        neighbor, settling in (key, rank) order, at its position in that
-        neighbor's adjacency.
-        """
-        nodes, cache = self._nodes, self._sssp_cache
-        n = len(nodes)
-        if len(cache) == n:
-            return
-        keys = self._key_matrix()
-        if keys is None:
-            return
-        import numpy as np
-
-        src, dst, edge_key = self._edge_keys()
-        degree = np.bincount(src, minlength=n)
-        offsets = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(degree, out=offsets[1:])
-        # keys is symmetric, so row v is column v. parent_t[v, s] is v's
-        # parent in row s; descending u leaves the least rank written.
-        parent_t = np.full((n, n), -1, dtype=np.intc)
-        for u in range(n - 1, -1, -1):
-            lo, hi = offsets[u], offsets[u + 1]
-            vs = dst[lo:hi]
-            hit = keys[vs] == keys[u] + edge_key[lo:hi, None]
-            parent_t[vs] = np.where(hit, u, parent_t[vs])
-        # v's row position: first reached by its earliest-settled neighbor
-        # u, i.e. the least (key[s, u], u, v's place in u's list), over the
-        # edges arriving at v (grouped by v, so ``offsets`` delimit them).
-        arrive = np.lexsort((src, dst))
-        arrive_src = src[arrive]
-        max_degree = int(degree.max())
-        tiebreak = arrive_src * max_degree + (
-            np.arange(len(src)) - offsets[src]
-        )[arrive]
-        node_of = np.empty(n, dtype=object)
-        for r, v in enumerate(nodes):
-            node_of[r] = v
-        todo = np.array(
-            [r for r, v in enumerate(nodes) if v not in cache], dtype=np.intp
-        )
-        # Row blocks of at most 2^16 edge entries keep the temporaries
-        # small; a row's dict is built from its own lists only.
-        block = max(1, (1 << 16) // len(src))
-        for lo in range(0, len(todo), block):
-            rows = todo[lo:lo + block]
-            first = np.minimum.reduceat(
-                keys[rows][:, arrive_src].astype(np.int64) * (n * max_degree)
-                + tiebreak,
-                offsets[:-1],
-                axis=1,
+            adj = self._rank_adjacency()
+            degree = [len(row) for row in adj]
+            src = np.repeat(np.arange(len(adj)), degree)
+            dst = np.array([v for row in adj for v, _ in row], dtype=np.intc)
+            weights = np.array([w for row in adj for _, w in row], dtype=np.intc)
+            starts = np.zeros(len(adj), dtype=np.intp)
+            np.cumsum(degree[:-1], out=starts[1:])
+            self._edge_key_arrays = (
+                src, dst, weights * (2 * len(adj)) + 1, starts
             )
-            first[np.arange(len(rows)), rows] = -1
-            reach = np.argsort(first, axis=1)
-            dist, hops = np.divmod(keys[rows], 2 * n)
-            dist = np.take_along_axis(dist, reach, axis=1).tolist()
-            for i, (s, row) in enumerate(zip(rows.tolist(), dist)):
-                cache[nodes[s]] = (
-                    dict(zip(node_of[reach[i]].tolist(), row)),
-                    array("i", hops[i].tobytes()),
-                    array("i", parent_t[:, s].tobytes()),
-                )
+        return self._edge_key_arrays
+
+    def _key_parents(self, source: Node) -> array:
+        """``source``'s parent per rank (-1: none), read off the already
+        computed :meth:`_key_matrix` (cached): the least rank ``y`` whose
+        key plus the edge's equals the node's own, the search's tie rule,
+        so the row equals :meth:`_sssp`'s."""
+        s = self._rank[source]
+        cached = self._key_parent_rows.get(s)
+        if cached is None:
+            import numpy as np
+
+            src, dst, edge_key, starts = self._edge_keys()
+            # Edges leave and enter alike (undirected), so the edge
+            # (x, y) offers y as x's parent; edges are grouped by x.
+            row = self._keys[s]
+            via = row.take(dst)
+            via += edge_key
+            offer = np.where(via == row.take(src), dst, len(self._nodes))
+            parent = np.minimum.reduceat(offer, starts)
+            parent[s] = -1  # the graph is connected: all others have one
+            cached = self._key_parent_rows[s] = array("i", parent.tobytes())
+        return cached
 
     def dijkstra(
         self, source: Node
@@ -525,10 +493,18 @@ class WeightedGraph:
         return self._sssp(u)[0][v]
 
     def shortest_path(self, u: Node, v: Node) -> List[Node]:
-        """A deterministic least-weight path from ``u`` to ``v`` (node list)."""
-        dist, _, parent = self._sssp(u)
-        if v not in dist:
-            raise GraphValidationError(f"{v!r} unreachable from {u!r}")
+        """A deterministic least-weight path from ``u`` to ``v`` (node list).
+
+        Walks ``u``'s cached tree, else the parents an already computed
+        :meth:`_key_matrix` gives (this never starts that pass), else a
+        new search's tree.
+        """
+        if u not in self._sssp_cache and self._keys is not None:
+            parent = self._key_parents(u)  # the graph is connected
+        else:
+            dist, _, parent = self._sssp(u)
+            if v not in dist:
+                raise GraphValidationError(f"{v!r} unreachable from {u!r}")
         path = [v]
         r = parent[self._rank[v]]
         while r >= 0:
@@ -551,10 +527,19 @@ class WeightedGraph:
     ) -> Dict[Node, Dict[Node, int]]:
         """Source → its cached distance row, for ``sources`` (default:
         every node); only the requested rows are computed."""
-        if sources is None:
-            self._fill_rows()
-            sources = self._nodes
-        return {v: self._sssp(v)[0] for v in sources}
+        return {
+            v: self._sssp(v)[0]
+            for v in (self._nodes if sources is None else sources)
+        }
+
+    def distance_row(self, source: Node) -> List[int]:
+        """wd(source, v) for every node v, indexed by rank (the position
+        in :attr:`nodes`): read off :meth:`_key_matrix` when it applies,
+        else off ``source``'s search."""
+        keys = self._key_matrix()
+        if keys is None:
+            return list(map(self._sssp(source)[0].__getitem__, self._nodes))
+        return (keys[self._rank[source]] // (2 * len(self._nodes))).tolist()
 
     def min_hop_shortest_path_hops(self, source: Node) -> Dict[Node, int]:
         """For each node, the min hop count among least-weight paths from
@@ -597,9 +582,11 @@ class WeightedGraph:
     def weighted_diameter(self) -> int:
         """WD — the maximum weighted distance between any node pair (cached)."""
         if "WD" not in self._metric_cache:
-            apd = self.all_pairs_distances()
-            self._metric_cache["WD"] = max(
-                max(row.values()) for row in apd.values()
+            keys = self._key_matrix()
+            self._metric_cache["WD"] = (
+                max(max(self._sssp(v)[0].values()) for v in self._nodes)
+                if keys is None
+                else int(keys.max()) // (2 * len(self._nodes))
             )
         return self._metric_cache["WD"]
 

@@ -124,24 +124,29 @@ def build_embedding(
     the LE-list construction of [14] provides each node with. Every list,
     and the truncation set S (the first ``truncate_at`` nodes of the
     walk), is read off one walk of the rank permutation in reverse: no
-    row is sorted. The communication cost is charged from real simulator
-    executions: one hop-capped multi-source Bellman–Ford per level sweep.
+    row is sorted. The rows are the oracle's rank-indexed
+    :meth:`~repro.model.graph.WeightedGraph.distance_row` views, so the
+    walk is over graph ranks. The communication cost is charged from
+    real simulator executions: one hop-capped multi-source Bellman–Ford
+    per level sweep.
     """
-    nodes = list(graph.nodes)
+    nodes = graph.nodes
     n = len(nodes)
-    permutation = list(nodes)
-    rng.shuffle(permutation)
-    rank = {v: i for i, v in enumerate(permutation)}
+    # The permutation as graph ranks; shuffling depends on the length
+    # only, so it equals a shuffle of the nodes themselves.
+    order = list(range(n))
+    rng.shuffle(order)
+    rank = {nodes[r]: i for i, r in enumerate(order)}
     beta = 1 + Fraction(rng.randrange(_BETA_RESOLUTION), _BETA_RESOLUTION)
     wd = graph.weighted_diameter()
     levels = max(1, math.ceil(math.log2(max(2, wd)))) + 1
 
-    descending = permutation[::-1]
+    descending = order[::-1]
 
     s_nodes: Set[Node] = set()
     nearest_s: Dict[Node, Optional[Node]] = {v: None for v in nodes}
     if truncate_at is not None and truncate_at > 0:
-        s_nodes = set(descending[:truncate_at])
+        s_nodes = {nodes[r] for r in descending[:truncate_at]}
         # Voronoi decomposition w.r.t. S, hop-capped at Õ(√n) (Lemma G.2):
         # executed for real on the simulator.
         hop_cap = max(
@@ -155,16 +160,15 @@ def build_embedding(
         for v in nodes:
             nearest_s[v] = voronoi.tag.get(v)
 
-    apd = graph.all_pairs_distances()
     radii = [(beta.numerator << i) // beta.denominator for i in range(levels)]
     ancestors: Dict[Node, List[Node]] = {}
     truncation_level: Dict[Node, int] = {}
     for v in nodes:
-        le_list = le_list_of_row(apd[v], descending)
+        le_list = le_list_of_row(graph.distance_row(v), descending)
         chain: List[Node] = []
         cutoff = levels
         for i, radius in enumerate(radii):
-            best = ancestor_from_le_list(le_list, radius)
+            best = nodes[ancestor_from_le_list(le_list, radius)]
             if s_nodes and best in s_nodes:
                 cutoff = i
                 break

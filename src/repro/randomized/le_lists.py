@@ -19,24 +19,27 @@ list — the standard algorithm). Both read a list off one walk of the
 row's nodes in decreasing rank: u is in LE(v) exactly when wd(v, u) is
 strictly below the distance of every higher-ranked node, so a running
 minimum finds the entries and no row is sorted by distance. The
-embedding walks its rank permutation backwards; the distributed pruning
-sorts a partial row's own keys by rank.
+embedding walks its rank permutation backwards over rank-indexed rows;
+the distributed pruning sorts a partial row's own keys by rank.
 """
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.congest.run import CongestRun
 from repro.model.graph import Node, WeightedGraph
 
 
 def le_list_of_row(
-    row: Dict[Node, int], descending: Iterable[Node]
+    row: Union[Mapping[Node, int], Sequence[int]], descending: Iterable[Node]
 ) -> List[Tuple[int, Node]]:
     """The LE list of the node whose distance row is ``row``: its
     record-rank nodes in (distance, −rank) order.
 
-    ``descending`` walks the nodes of ``row`` in decreasing rank. A node is
+    ``descending`` walks the keys of ``row`` in decreasing rank (nodes
+    for a dict row, positions for a rank-indexed one). A node is
     a record exactly when its distance is strictly below that of every
     higher-ranked node, so one pass keeps a running minimum and needs no
     sort; it stops at the first distance-0 node, below which nothing can

@@ -61,16 +61,19 @@ _CODE_PATH = re.compile(r"`(repro(?:\.\w+)+)`")
 
 def _resolves(path):
     """Whether ``path`` names a module, or an attribute chain inside the
-    longest importable module prefix. Skips when a module needs an
-    optional dependency that is not installed."""
+    longest importable module prefix. Only a missing ``repro`` module
+    makes a prefix too long; any other import failure (an optional
+    dependency missing, or installed but broken) skips."""
     parts = path.split(".")
     for cut in range(len(parts), 0, -1):
         try:
             target = importlib.import_module(".".join(parts[:cut]))
-        except ImportError as error:
-            if error.name and not error.name.startswith("repro"):
+        except ModuleNotFoundError as error:
+            if (error.name or "").partition(".")[0] != "repro":
                 pytest.skip(f"{path} needs the missing {error.name}")
             continue
+        except ImportError as error:
+            pytest.skip(f"{path} cannot import: {error}")
         for name in parts[cut:]:
             if not hasattr(target, name):
                 return False
@@ -96,6 +99,22 @@ def test_code_path_gate_catches_a_stale_name():
     assert _resolves("repro.congest")
     assert not _resolves("repro.core.distributed._MoatBookkeeping")
     assert not _resolves("repro.no_such_module")
+
+
+def test_code_path_gate_skips_a_broken_optional_dependency(monkeypatch):
+    """An installed but broken optional dependency raises an ImportError
+    with no module name; that is not a stale path."""
+    real = importlib.import_module
+
+    def import_module(name, *args):
+        if name == "repro.perf.npkernels":
+            raise ImportError("numpy is installed but broken")
+        return real(name, *args)
+
+    monkeypatch.setattr(importlib, "import_module", import_module)
+    assert not _resolves("repro.no_such_module")
+    with pytest.raises(pytest.skip.Exception):
+        _resolves("repro.perf.npkernels")
 
 
 def test_cli_reference_covers_every_subcommand():

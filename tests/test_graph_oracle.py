@@ -7,23 +7,28 @@ the straightforward versions it replaced: a Dijkstra that compares
 shortest-path DAG. Every view of the oracle must equal them exactly,
 including dict order, on graphs where the two orders are easiest to
 confuse: int nodes past 9 (``'10' < '9'``), str nodes, and equal-weight
-paths with different hop counts. The rows the numpy Floyd–Warshall pass
-caches are held to the same references, and graphs outside its
-conditions must stay on the Python path.
+paths with different hop counts. What the numpy Floyd–Warshall key
+matrix answers without a search (``WD``, rank-indexed distance rows and
+paths) is held to the same references, so is the tree embedding that
+reads it, and graphs outside its conditions must stay on the Python
+path.
 """
 
 import heapq
+import math
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
+from repro.congest import CongestRun
 from repro.engine.jobs import expand_jobs
 from repro.engine.registry import ScenarioSpec
 from repro.engine.runner import build_instance
 from repro.model import graph as graph_module
 from repro.model.graph import WeightedGraph, canonical_edge
+from repro.randomized.embedding import build_embedding
 
 
 def reference_dijkstra(graph, source):
@@ -169,13 +174,13 @@ class TestOracleMatchesReference:
 
 
 # ---------------------------------------------------------------------
-# Every row at once: the numpy Floyd–Warshall fill
+# The numpy Floyd–Warshall key matrix
 # ---------------------------------------------------------------------
 
 
 @pytest.fixture
 def computed_trees(monkeypatch):
-    """Sources whose tree a Python search computed (not the fill)."""
+    """Sources whose tree a Python search computed."""
     trees = []
     original = WeightedGraph._sssp
 
@@ -190,7 +195,7 @@ def computed_trees(monkeypatch):
 
 @pytest.fixture
 def fill_everywhere(monkeypatch, computed_trees):
-    """The fill at every graph size (n ≥ 2), with numpy installed."""
+    """The key matrix at every graph size (n ≥ 2), with numpy installed."""
     pytest.importorskip("numpy")
     monkeypatch.setattr(graph_module, "_FILL_MIN_N", 1)
     return computed_trees
@@ -206,67 +211,128 @@ def perfbench_graph(family, **grid):
     return build_instance(expand_jobs(spec)[0]).graph
 
 
-def assert_fill_matches_reference(graph, computed_trees):
-    # s comes from the key matrix alone; the first all-rows read fills
-    # every row from it.
+def assert_keys_match_reference(graph, computed_trees):
+    """``s``, ``WD``, every rank-indexed row and every path, read off the
+    key matrix with no search, equal the reference search's; then every
+    view of the oracle does."""
     graph.shortest_path_diameter()
+    references = {v: reference_dijkstra(graph, v) for v in graph.nodes}
+    assert graph.weighted_diameter() == max(
+        max(dist.values()) for dist, _ in references.values()
+    )
+    for source, (ref_dist, ref_parent) in references.items():
+        assert graph.distance_row(source) == [
+            ref_dist[v] for v in graph.nodes
+        ]
+        for target in graph.nodes:
+            assert graph.shortest_path(source, target) == reference_path(
+                ref_parent, source, target
+            )
     assert graph._sssp_cache == {}
-    graph.all_pairs_distances()
-    assert len(graph._sssp_cache) == graph.num_nodes
     assert computed_trees == []
     assert_matches_reference(graph)
-    assert computed_trees == []
 
 
-class TestNumpyFillMatchesReference:
-    """Rows from one Floyd–Warshall pass equal the Python search's:
-    distances in first-reach order, hops, parents, paths and balls."""
+def embedding_fields(graph, truncate_at):
+    """Every field of a seeded embedding of ``graph``, and its ledger."""
+    run = CongestRun(graph)
+    emb = build_embedding(graph, run, random.Random(3), truncate_at)
+    fields = (
+        emb.rank, emb.beta, emb.levels, emb.ancestors, emb.truncation_level,
+        emb.nearest_s, emb.s_nodes, emb.max_paths_per_node,
+    )
+    ledger = (
+        run.rounds, run.messages, dict(run.edge_messages),
+        dict(run.phase_rounds),
+    )
+    return fields, ledger
 
-    def test_numpy_equal_weight_paths_with_different_hops(
-        self, fill_everywhere
-    ):
+
+KEY_GRAPHS = [
+    pytest.param(
+        lambda: WeightedGraph(range(12), TIE_EDGES), id="numpy-tie-edges"
+    ),
+    *(
+        pytest.param(
+            lambda seed=seed, kind=kind: random_graph(seed, kind),
+            id=f"numpy-{kind}{seed}",
+        )
+        for kind in ("int", "str")
+        for seed in range(30)
+    ),
+]
+
+PERFBENCH_GRAPHS = [
+    pytest.param("gnp", {"n": 256, "p": 0.03}, id="numpy-gnp256"),
+    pytest.param("torus", {"rows": 16, "cols": 16}, id="numpy-torus16"),
+]
+
+
+class TestKeyMatrixMatchesReference:
+    """``WD``, rank rows and paths from one Floyd–Warshall pass equal the
+    Python search's, and the embedding reads them without a search."""
+
+    @pytest.mark.parametrize("make", KEY_GRAPHS)
+    def test_key_reads_match_reference(self, fill_everywhere, make):
+        assert_keys_match_reference(make(), fill_everywhere)
+
+    def test_numpy_tie_paths_read_off_the_keys(self, fill_everywhere):
         graph = WeightedGraph(range(12), TIE_EDGES)
-        assert_fill_matches_reference(graph, fill_everywhere)
+        graph.weighted_diameter()
         assert graph.shortest_path(0, 11) == [0, 10, 11]
         assert graph.shortest_path(0, 4) == [0, 10, 4]
+        assert fill_everywhere == []
 
-    @pytest.mark.parametrize("kind", ["int", "str"])
-    @pytest.mark.parametrize("seed", range(30))
-    def test_numpy_random_tie_heavy_graphs(
-        self, fill_everywhere, seed, kind
-    ):
-        assert_fill_matches_reference(
-            random_graph(seed, kind), fill_everywhere
+    @pytest.mark.parametrize("family, grid", PERFBENCH_GRAPHS)
+    def test_perfbench_n256_graphs(self, computed_trees, family, grid):
+        pytest.importorskip("numpy")
+        assert_keys_match_reference(
+            perfbench_graph(family, **grid), computed_trees
         )
 
-    def test_numpy_rows_cached_before_the_fill_stay(self, fill_everywhere):
+    def test_numpy_paths_never_start_the_pass(self, fill_everywhere):
         graph = random_graph(3, "str")
-        early = {v: graph._sssp(v) for v in graph.nodes[::3]}
-        fill_everywhere.clear()
-        graph.all_pairs_distances()
-        assert fill_everywhere == []
-        for v, tree in early.items():
-            assert graph._sssp_cache[v] is tree
-        assert_matches_reference(graph)
-        assert fill_everywhere == []
+        source, target = graph.nodes[0], graph.nodes[-1]
+        graph.shortest_path(source, target)
+        assert graph._keys is None
+        assert fill_everywhere == [source]
 
+    def test_numpy_cached_trees_answer_first(self, fill_everywhere):
+        graph = random_graph(3, "str")
+        early = graph.nodes[::3]
+        for v in early:
+            graph._sssp(v)
+        graph.weighted_diameter()
+        for v in early:
+            graph.shortest_path(v, graph.nodes[-1])
+        assert graph._key_parent_rows == {}
+        assert fill_everywhere == list(early)
+
+    @pytest.mark.parametrize("truncated", [False, True], ids=["full", "cut"])
     @pytest.mark.parametrize(
         "family, grid",
-        [
-            ("gnp", {"n": 256, "p": 0.03}),
-            ("torus", {"rows": 16, "cols": 16}),
-        ],
-        ids=["gnp256", "torus16"],
+        PERFBENCH_GRAPHS + [pytest.param("gnp", {"n": 48, "p": 0.1},
+                                         id="numpy-gnp48")],
     )
-    def test_numpy_perfbench_n256_graphs(self, computed_trees, family, grid):
+    def test_embedding_reads_no_search(
+        self, monkeypatch, computed_trees, family, grid, truncated
+    ):
+        """Inside the window the embedding computes no tree, and it
+        equals the embedding built from searches alone."""
         pytest.importorskip("numpy")
         graph = perfbench_graph(family, **grid)
-        assert_fill_matches_reference(graph, computed_trees)
+        truncate_at = math.isqrt(graph.num_nodes) if truncated else None
+        from_keys = embedding_fields(graph, truncate_at)
+        assert computed_trees == []
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        graph = perfbench_graph(family, **grid)
+        assert embedding_fields(graph, truncate_at) == from_keys
+        assert len(computed_trees) == graph.num_nodes
 
 
-class TestFillFallsBackToPython:
-    """Outside the fill's conditions every row is a Python search, with
-    the same answers."""
+class TestKeyMatrixFallsBackToPython:
+    """Outside the key matrix's conditions every read is a Python search,
+    with the same answers."""
 
     def test_without_numpy_rows_stay_python(
         self, monkeypatch, computed_trees
@@ -274,14 +340,15 @@ class TestFillFallsBackToPython:
         monkeypatch.setattr(graph_module, "_FILL_MIN_N", 1)
         monkeypatch.setitem(sys.modules, "numpy", None)
         graph = WeightedGraph(range(12), TIE_EDGES)
-        graph.all_pairs_distances()
+        graph.weighted_diameter()
         assert computed_trees == list(graph.nodes)
         assert_matches_reference(graph)
 
     @pytest.mark.parametrize("over", [0, 1], ids=["at-bound", "past-bound"])
     def test_numpy_key_bound(self, fill_everywhere, over):
-        """The fill runs while (n - 1)·max weight·2n + n stays below half
-        the C int range, so that two keys always sum without wrapping."""
+        """The key matrix exists while (n - 1)·max weight·2n + n stays
+        below half the C int range, so that two keys always sum without
+        wrapping."""
         np = pytest.importorskip("numpy")
         n = 40
         half = int(np.iinfo(np.intc).max) // 2
@@ -291,16 +358,20 @@ class TestFillFallsBackToPython:
             (i, j, rng.choice([1, 2])) for i in range(n)
             for j in range(i + 1, min(n, i + 3))
         ] + [(0, n - 1, heaviest)])
-        graph.all_pairs_distances()
-        assert fill_everywhere == (list(graph.nodes) if over else [])
+        if not over:
+            assert_keys_match_reference(graph, fill_everywhere)
+            return
+        graph.weighted_diameter()
+        assert graph._keys is None
+        assert fill_everywhere == list(graph.nodes)
         assert_matches_reference(graph)
 
-    def test_numpy_fill_skips_graphs_outside_the_size_window(
+    def test_numpy_keys_skip_graphs_outside_the_size_window(
         self, monkeypatch, fill_everywhere
     ):
         monkeypatch.setattr(graph_module, "_FILL_MAX_N", 11)
         graph = WeightedGraph(range(12), TIE_EDGES)
-        graph.all_pairs_distances()
+        graph.weighted_diameter()
         assert fill_everywhere == list(graph.nodes)
 
     @pytest.mark.parametrize(
@@ -319,9 +390,12 @@ class TestFillFallsBackToPython:
         ],
         ids=["disconnected", "float-weight"],
     )
-    def test_numpy_fill_skips_unvalidated_graphs(
+    def test_numpy_keys_skip_unvalidated_graphs(
         self, fill_everywhere, edges, rows
     ):
         graph = WeightedGraph(range(len(rows)), edges, validate=False)
-        assert graph.all_pairs_distances() == rows
+        assert graph.weighted_diameter() == max(
+            max(row.values()) for row in rows.values()
+        )
         assert fill_everywhere == list(graph.nodes)
+        assert graph.all_pairs_distances() == rows

@@ -5,7 +5,10 @@ level ancestor off the node's LE list, and the Python Bellman–Ford
 relaxes the graph's weights as scaled ints. The references below are the
 straightforward versions they replaced: an event search over the
 all-pairs distances, a scan of every node per (node, level) pair against
-a ``Fraction`` radius, and a Bellman–Ford in ``Fraction`` arithmetic.
+a ``Fraction`` radius, the embedding's path load and level-sweep rounds
+over the reference Dijkstra's paths (from searches, and from the numpy
+key matrix with ids containing ``numpy``), and a Bellman–Ford in
+``Fraction`` arithmetic.
 Each must agree exactly, including dict order and value types, on
 tie-heavy graphs (unit-weight torus and ring, equal-weight gnp) with int,
 str and mixed-type nodes. The moat events are checked for Algorithm 1 and
@@ -26,11 +29,13 @@ from repro.congest import CongestRun
 from repro.congest.bellman_ford import bellman_ford
 from repro.core.moat import _MoatSystem, moat_growing
 from repro.core.rounded import rounded_moat_growing
+from repro.model import graph as graph_module
 from repro.model.graph import WeightedGraph
 from repro.model.instance import instance_from_components
 from repro.perf import FastCongestRun
 from repro.randomized.embedding import build_embedding
 from repro.workloads.placements import TERMINAL_PLACEMENTS
+from tests.test_graph_oracle import reference_dijkstra, reference_path
 
 KINDS = ["int", "str", "mixed"]
 
@@ -213,10 +218,52 @@ class _FixedBeta(random.Random):
         return self.offset
 
 
+def reference_path_measure(graph, ancestors, nearest_s):
+    """(max hops, max distinct paths through one node) over the paths
+    from every node to each of its ancestors and its S node, taken from
+    the reference Dijkstra."""
+    max_hops, load = 0, {v: set() for v in graph.nodes}
+    for v, chain in ancestors.items():
+        _, parent = reference_dijkstra(graph, v)
+        for u in (set(chain) | {nearest_s[v]}) - {None, v}:
+            path = reference_path(parent, v, u)
+            max_hops = max(max_hops, len(path) - 1)
+            for x in path:
+                load[x].add((v, u))
+    return max_hops, max(len(paths) for paths in load.values())
+
+
+def _charged_sweeps(run):
+    """The rounds each ``charge_rounds`` call for the LE-list level
+    sweeps adds to ``run``."""
+    charged = []
+    charge = run.charge_rounds
+
+    def recording(rounds, reason=""):
+        if reason.startswith("LE-list level sweeps"):
+            charged.append(rounds)
+        charge(rounds, reason)
+
+    run.charge_rounds = recording
+    return charged
+
+
+@pytest.fixture(params=["search", "numpy-key-matrix"])
+def oracle(request, monkeypatch):
+    """The graph oracle's source of rows and paths: Python searches, or
+    (n ≥ 2, numpy installed) the Floyd–Warshall key matrix."""
+    if request.param != "search":
+        pytest.importorskip("numpy")
+        monkeypatch.setattr(graph_module, "_FILL_MIN_N", 1)
+    return request.param
+
+
 @pytest.mark.parametrize("family,kind", GRAPHS)
 @pytest.mark.parametrize("truncated", [False, True])
 @pytest.mark.parametrize("beta_offset", [None, 0, (1 << 15), (1 << 16) - 1])
-def test_embedding_matches_scan_reference(family, kind, truncated, beta_offset):
+def test_embedding_matches_scan_reference(
+    oracle, family, kind, truncated, beta_offset
+):
     for seed in range(3):
         graph = tie_graph(family, kind, seed)
         rng = (
@@ -224,7 +271,15 @@ def test_embedding_matches_scan_reference(family, kind, truncated, beta_offset):
             else _FixedBeta(seed, beta_offset)
         )
         truncate_at = math.isqrt(graph.num_nodes) if truncated else None
-        emb = build_embedding(graph, CongestRun(graph), rng, truncate_at)
+        run = CongestRun(graph)
+        charged = _charged_sweeps(run)
+        emb = build_embedding(graph, run, rng, truncate_at)
+        assert (graph._keys is not None) == (oracle != "search")
+        hops, max_paths = reference_path_measure(
+            graph, emb.ancestors, emb.nearest_s
+        )
+        assert emb.max_paths_per_node == max_paths
+        assert charged == [emb.levels * max(1, hops)]
         ancestors, truncation = reference_ancestors(
             graph, emb.rank, emb.beta, emb.levels, emb.s_nodes
         )
