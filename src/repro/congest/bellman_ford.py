@@ -11,10 +11,16 @@ improved announce (distance, tag) to all neighbors.
 The iteration count until stabilization is at most the maximum hop length of
 a relevant least-weight path — the quantity ``s`` bounds — so the measured
 round count is exactly the paper's cost for these steps.
+
+Every distance is an int. The relaxation weight of an edge {x, y} is the
+reduced weight Ŵ_j of Definition 4.5 on the int grid 1/scale,
+
+    max(0, W·scale − min(W·scale, l(x)) − min(W·scale, l(y))),
+
+for int leftovers l ≥ 0 at ``scale``; the graph's own weights are the case
+l ≡ 0, scale = 1.
 """
 
-import math
-from fractions import Fraction
 from typing import (
     AbstractSet,
     Callable,
@@ -29,7 +35,6 @@ from typing import (
 from repro.congest.run import CongestRun
 from repro.model.graph import Node, WeightedGraph
 
-Number = object  # int or Fraction
 Tag = Hashable
 
 
@@ -37,7 +42,8 @@ class BellmanFordResult:
     """Outcome of a multi-source Bellman–Ford execution.
 
     Attributes:
-        dist: tentative distance per reached node (from its source).
+        dist: tentative distance per reached node (from its source), an
+            int on the grid 1/scale.
         tag: the source tag (e.g. Voronoi center) per reached node.
         parent: predecessor towards the source (None at sources).
         iterations: number of relaxation rounds executed.
@@ -46,7 +52,7 @@ class BellmanFordResult:
 
     def __init__(
         self,
-        dist: Dict[Node, Number],
+        dist: Dict[Node, int],
         tag: Dict[Node, Tag],
         parent: Dict[Node, Optional[Node]],
         iterations: int,
@@ -65,11 +71,32 @@ class BellmanFordResult:
         )
 
 
+def _reduced_weight(
+    graph: WeightedGraph, leftover: Mapping[Node, int], scale: int
+) -> Callable[[Node, Node], int]:
+    """Ŵ_j per directed edge, each edge computed once: Ŵ_j is symmetric
+    and fixed for the run, while edges relax once per round."""
+    lo = leftover.get
+    reduced: Dict[Tuple[Node, Node], int] = {}
+
+    def weight(x: Node, y: Node) -> int:
+        value = reduced.get((x, y))
+        if value is None:
+            w = graph.weight(x, y) * scale
+            value = max(0, w - min(w, lo(x, 0)) - min(w, lo(y, 0)))
+            reduced[x, y] = reduced[y, x] = value
+        return value
+
+    return weight
+
+
 def bellman_ford(
     graph: WeightedGraph,
-    sources: Mapping[Node, Tuple[Number, Tag]],
+    sources: Mapping[Node, Tuple[int, Tag]],
     run: CongestRun,
-    edge_weight: Optional[Callable[[Node, Node], Number]] = None,
+    *,
+    leftover: Optional[Mapping[Node, int]] = None,
+    scale: int = 1,
     blocked: Optional[AbstractSet[Node]] = None,
     max_iterations: Optional[int] = None,
 ) -> BellmanFordResult:
@@ -77,56 +104,58 @@ def bellman_ford(
 
     Args:
         graph: the network.
-        sources: node → (initial distance, tag). Tags identify regions;
-            ties between equal distances are broken by (repr(tag), repr
-            (parent)) so the decomposition is deterministic, mirroring the
-            paper's lexicographic tie-breaking.
+        sources: node → (int initial distance, tag). Tags identify
+            regions; ties between equal distances are broken by
+            (repr(tag), repr(parent)) so the decomposition is
+            deterministic, mirroring the paper's lexicographic
+            tie-breaking.
         run: ledger to charge rounds/messages against.
-        edge_weight: override for the relaxation weight of an edge (used
-            with the *reduced* weights Ŵ_j of Definition 4.5); defaults to
-            the graph weight. Must be non-negative; may return Fractions.
+        leftover: int leftover l(x) ≥ 0 per node at ``scale`` (absent
+            nodes have 0); edges relax the reduced weights Ŵ_j of
+            Definition 4.5 instead of the graph weights.
+        scale: the int grid 1/scale of the starts, leftovers and
+            returned distances; graph weights are multiplied by it.
         blocked: nodes that neither adopt nor forward distances (frozen
             inactive regions; Lemma 4.8 leaves their trees untouched).
         max_iterations: stop (possibly unstabilized) after this many rounds
             — the footnote-2 "run for √n iterations" device.
 
-    Returns a :class:`BellmanFordResult`.
+    Returns a :class:`BellmanFordResult`. Raises ``TypeError`` when a
+    start distance is not an int.
 
     Every ledger runs this one path on ``graph``'s cached topology, with
-    each tag's ``repr`` computed once per source, and the graph's own
-    weights relax as ints (everything scaled to the start distances'
-    common denominator). On its own graph, a
+    each tag's ``repr`` computed once per source. On its own graph, a
     :class:`~repro.perf.npkernels.NumpyCongestRun` runs the relaxation
-    as scaled-int64 array kernels instead when the workload scales
-    exactly. Distances, tags, parents, iterations, and the ledger end
-    state are identical either way (tests/test_ledger_golden.py,
+    as int64 array kernels instead unless a bound check declines.
+    Distances, tags, parents, iterations, and the ledger end state are
+    identical either way (tests/test_ledger_golden.py,
     tests/test_npkernels.py).
     """
+    for v, (d0, _) in sources.items():
+        if not isinstance(d0, int):
+            raise TypeError(
+                f"bellman_ford start distance {d0!r} at node {v!r} is not "
+                "an int"
+            )
     blocked = blocked or frozenset()
     if graph is run.graph and getattr(run, "npc", None) is not None:
         from repro.perf.npkernels import bellman_ford_numpy
 
         result = bellman_ford_numpy(
-            graph, sources, run, edge_weight, blocked, max_iterations
+            graph, sources, run, leftover, scale, blocked, max_iterations
         )
         if result is not None:
             return result
-    # The graph's own weights relax as ints on the start distances'
-    # common grid; a custom weight keeps its own arithmetic (grid 1).
-    denom = 1 if edge_weight else math.lcm(
-        *(Fraction(d0).denominator for d0, _ in sources.values())
-    )
-    weight = edge_weight or (
-        graph.weight if denom == 1 else lambda u, v: graph.weight(u, v) * denom
-    )
+    weight = graph.weight
+    if leftover or scale != 1:
+        weight = _reduced_weight(graph, leftover or {}, scale)
 
-    dist: Dict[Node, Number] = {}  # scaled by denom
+    dist: Dict[Node, int] = {}
     tag: Dict[Node, Tag] = {}
     parent: Dict[Node, Optional[Node]] = {}
     tag_repr: Dict[Node, str] = {}  # repr(tag[v]), carried along with tag[v]
     for v, (d0, source_tag) in sources.items():
-        start = Fraction(d0) * denom
-        dist[v] = start.numerator if start.denominator == 1 else start
+        dist[v] = d0
         tag[v] = source_tag
         parent[v] = None
         tag_repr[v] = repr(source_tag)
@@ -144,7 +173,7 @@ def bellman_ford(
             break
         iterations += 1
         announcers = sorted(changed, key=reprs.__getitem__)
-        updates: Dict[Node, Tuple[Number, str, str, Tag, Node]] = {}
+        updates: Dict[Node, Tuple[int, str, str, Tag, Node]] = {}
         for u in announcers:
             du, tu, tu_repr, u_repr = dist[u], tag[u], tag_repr[u], reprs[u]
             for v in graph.neighbors(u):
@@ -170,7 +199,4 @@ def bellman_ford(
             tag_repr[v] = cand_tag_repr
             parent[v] = new_parent
             changed.add(v)
-    for v, d in dist.items():  # scaled ints back to exact Fractions
-        if isinstance(d, int):
-            dist[v] = Fraction(d, denom)
     return BellmanFordResult(dist, tag, parent, iterations, not changed)

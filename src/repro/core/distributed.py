@@ -184,10 +184,6 @@ def distributed_moat_growing(
     if run is None:
         run = CongestRun(graph)
     profiler = getattr(run, "profiler", None)
-    # The vectorized numpy tier (repro.perf.npkernels), on the ledger's
-    # own graph only: the kernels are byte-identical or they decline and
-    # the python loops below run unchanged.
-    npc = getattr(run, "npc", None) if run.graph is graph else None
 
     # ------------------------------------------------------------------
     # Step 1: BFS tree; make (v, λ(v)) global knowledge. O(D + t) rounds.
@@ -230,33 +226,6 @@ def distributed_moat_growing(
         # Sources: all nodes covered by *active* moats, distance 0, tagged
         # by their tree owner. Nodes of inactive regions are blocked.
         # --------------------------------------------------------------
-        # Ŵ_j is fixed within the phase (leftover only changes at phase
-        # end), so each edge's reduced weight is computed once instead of
-        # once per relaxation round.
-        rw_cache: Dict[Tuple[Node, Node], int] = {}
-
-        def reduced_weight(x: Node, y: Node) -> int:
-            value = rw_cache.get((x, y))
-            if value is None:
-                w = graph.weight(x, y) * scale
-                value = max(
-                    0,
-                    w - min(w, leftover.get(x, 0)) - min(w, leftover.get(y, 0)),
-                )
-                # Ŵ_j is symmetric in the endpoints: fill both directions.
-                rw_cache[(x, y)] = rw_cache[(y, x)] = value
-            return value
-
-        if npc is not None:
-            # The whole phase's Ŵ_j as one int64 array, which the
-            # Bellman–Ford kernel picks up through the ``np_scaled``
-            # hook; None (int64 overflow) leaves the hook unset.
-            from repro.perf.npkernels import scaled_reduced_weights
-
-            np_scaled = scaled_reduced_weights(run, leftover, scale)
-            if np_scaled is not None:
-                reduced_weight.np_scaled = np_scaled  # type: ignore[attr-defined]
-
         sources = {}
         blocked: Set[Node] = set()
         for x, own in owner.items():
@@ -268,18 +237,17 @@ def distributed_moat_growing(
                 blocked.add(x)
         with maybe_span(profiler, "bellman-ford"):
             bf = bellman_ford(
-                graph, sources, run, edge_weight=reduced_weight, blocked=blocked
+                graph, sources, run,
+                leftover=leftover, scale=scale, blocked=blocked,
             )
 
-        # Phase-local overlay: tree owner / reduced distance / parent. The
-        # distances are sums of int reduced weights, so every Fraction
-        # ``bellman_ford`` returns is an int at ``scale``.
+        # Phase-local overlay: tree owner / reduced distance (an int at
+        # ``scale``) / parent.
         tree_owner: Dict[Node, Optional[Node]] = dict(owner)
-        tree_dist: Dict[Node, int] = {}
+        tree_dist: Dict[Node, int] = bf.dist
         tree_parent: Dict[Node, Optional[Node]] = dict(parent)
         for x in bf.dist:
             tree_owner[x] = bf.tag[x]
-            tree_dist[x] = bf.dist[x].numerator
             if bf.parent[x] is not None:
                 tree_parent[x] = bf.parent[x]
 

@@ -141,6 +141,8 @@ class MoatGrowingResult:
 
     @property
     def num_merge_phases(self) -> int:
+        if not self.events:
+            return 0  # nothing active: no merge, no merge phase
         return 1 + sum(1 for e in self.events[:-1] if e.phase_boundary)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

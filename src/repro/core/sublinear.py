@@ -15,10 +15,11 @@ phases by O(log n / ε)):
   collected by the pipelined filtered upcast in O(D + σ) rounds;
 * Step 3g–3i — activity recomputation in O(D + k + σ) rounds.
 
-Fidelity note (cf. DESIGN.md): this module drives the merge *semantics*
-from an exact Algorithm 2 run (:func:`repro.core.rounded.
-rounded_moat_growing` — Lemma F.4 shows the distributed schedule selects
-exactly that merge set, merely reordering within growth phases) and
+Fidelity note (also in docs/paper-map.md, Section 4.2): this module
+drives the merge *semantics* from an exact Algorithm 2 run
+(:func:`repro.core.rounded.rounded_moat_growing` — Lemma F.4 shows the
+distributed schedule selects exactly that merge set, merely reordering
+within growth phases) and
 *simulates the communication* of the schedule: the per-merge-phase
 Bellman–Ford is executed for real on the simulator, the small-moat matching
 iterations run the real Cole–Vishkin matching on the actual proposal graphs
@@ -149,7 +150,7 @@ def sublinear_moat_growing(
             with maybe_span(profiler, "bellman-ford"):
                 bellman_ford(
                     graph,
-                    {v: (Fraction(0), v) for v in instance.terminals},
+                    {v: (0, v) for v in instance.terminals},
                     run,
                 )
             # One round of owner exchange plus the min-candidate

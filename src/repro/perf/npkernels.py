@@ -14,8 +14,8 @@ round collapses to a handful of numpy operations over a CSR topology:
 * :class:`NumpyCongestRun` — a :class:`~repro.congest.run.CongestRun`
   whose per-edge traffic accumulates in an int64 array (materialized to
   the usual Counter on first read). Primitives without a numpy kernel,
-  and kernels that decline (a workload that does not scale to int64
-  exactly, or a primitive running on a graph other than the ledger's),
+  and kernels that decline (a workload whose distances could leave
+  int64, or a primitive running on a graph other than the ledger's),
   take the Python path, which charges this ledger like any other.
 * the kernels — frontier expansion by segment gather, per-target
   lexicographic minima by ``lexsort`` + first-occurrence masks, the
@@ -24,14 +24,15 @@ round collapses to a handful of numpy operations over a CSR topology:
   rounds, messages, per-edge traffic, results; pinned by
   tests/test_npkernels.py and the conformance suites).
 
-**Integer exactness.** All distance arithmetic runs in int64 after
-scaling every Fraction by the least common denominator. Scaling is
-gated by explicit bound checks against :data:`INT64_LIMIT` (with the
-worst-case path length folded in), and every kernel re-asserts its
-outputs stay inside the bound — when a workload cannot be scaled (float
-weights, giant denominators, values near 2^62) the caller falls back to
-the exact python branch instead of losing precision. Conformance is
-exact, never approximate.
+**Integer exactness.** All distance arithmetic runs in int64 on the
+callers' own int grid: graph weights, and the moat phase's reduced
+weights Ŵ_j at its scale, are ints, and so are the start distances.
+Explicit bound checks against :data:`INT64_LIMIT` (with the worst-case
+path length folded in) gate every kernel, and every kernel re-asserts
+its outputs stay inside the bound — when a workload could leave the
+bound (values near 2^62) the caller falls back to the exact python
+branch instead of losing precision. Conformance is exact, never
+approximate.
 
 This module imports numpy at module scope **on purpose**: when numpy is
 absent the import fails cleanly and ``numpy`` is not a valid tier name
@@ -39,9 +40,7 @@ absent the import fails cleanly and ``numpy`` is not a valid tier name
 keeping the reference path dependency-free.
 """
 
-import math
 from collections import Counter
-from fractions import Fraction
 from typing import Any, Callable, Collection, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -67,7 +66,7 @@ def assert_int64_bounds(values: np.ndarray, context: str) -> None:
     """Assert every value sits strictly inside ±:data:`INT64_LIMIT`.
 
     This is the kernels' overflow invariant: it must hold by
-    construction (the scaling gates reject workloads that could reach
+    construction (the bound gates reject workloads that could reach
     the limit), so a failure is a kernel bug, not a workload property.
     """
     if values.size and int(np.abs(values).max()) >= INT64_LIMIT:
@@ -75,31 +74,6 @@ def assert_int64_bounds(values: np.ndarray, context: str) -> None:
             f"int64 bound violated in {context}: "
             f"|value| >= 2^62 after scaling"
         )
-
-
-def scale_fractions(values: List[Fraction]) -> Optional[Tuple[List[int], int]]:
-    """Scale Fractions to a common integer grid.
-
-    Returns ``(scaled ints, denominator)`` with ``value == scaled /
-    denominator`` exactly, or None when any value is not an
-    int/Fraction or the scaled magnitudes leave the int64 bound.
-    """
-    denom = 1
-    for value in values:
-        if isinstance(value, int):
-            continue
-        if not isinstance(value, Fraction):
-            return None
-        denom = denom * value.denominator // math.gcd(denom, value.denominator)
-        if denom >= INT64_LIMIT:
-            return None
-    scaled = []
-    for value in values:
-        s = int(value * denom)
-        if abs(s) >= INT64_LIMIT:
-            return None
-        scaled.append(s)
-    return scaled, denom
 
 
 class NumpyTopology:
@@ -201,25 +175,6 @@ class NumpyTopology:
         if cached is None:
             cached = self._tag_repr[key] = repr(tag)
         return cached
-
-    def directed_weights(
-        self, edge_weight: Callable[[Node, Node], Any]
-    ) -> Optional[Tuple[np.ndarray, int]]:
-        """Evaluate a custom ``edge_weight`` once per directed CSR edge.
-
-        Returns ``(scaled int64 per CSR position, denominator)``, or
-        None when any value cannot be scaled exactly (caller falls back
-        to the python branch).
-        """
-        order = self.order
-        values: List[Fraction] = []
-        for i, v in enumerate(order):
-            for j in range(int(self.indptr[i]), int(self.indptr[i + 1])):
-                values.append(edge_weight(v, order[int(self.indices[j])]))
-        scaled = scale_fractions(values)
-        if scaled is None:
-            return None
-        return np.asarray(scaled[0], dtype=np.int64), scaled[1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -445,7 +400,7 @@ def build_bfs_tree_numpy(run: "NumpyCongestRun", root: Node):
 
 
 # ---------------------------------------------------------------------
-# Multi-source Bellman–Ford (scaled int64 relaxation)
+# Multi-source Bellman–Ford (int64 relaxation)
 # ---------------------------------------------------------------------
 
 
@@ -460,15 +415,15 @@ def bellman_ford_numpy(
     graph: WeightedGraph,
     sources: Any,
     run: "NumpyCongestRun",
-    edge_weight: Optional[Callable[[Node, Node], Any]],
+    leftover: Optional[Dict[Node, int]],
+    scale: int,
     blocked: Any,
     max_iterations: Optional[int],
 ):
     """The numpy branch of :func:`repro.congest.bellman_ford.
-    bellman_ford`; returns a BellmanFordResult or None when the
-    workload cannot be scaled to int64 exactly (the caller then takes
-    the python branch). Each None is counted in ``run.declines`` under
-    its reason.
+    bellman_ford`; returns a BellmanFordResult or None when a distance
+    could leave int64 (the caller then takes the python branch). Each
+    None is counted in ``run.declines`` under its reason.
 
     Per relaxation round: gather every out-edge of the changed set,
     lexsort candidates by (distance, tag rank, sender rank) — the exact
@@ -482,50 +437,21 @@ def bellman_ford_numpy(
     n = len(npc.order)
     rank_of = npc.rank_of
 
-    # --- scale the weights ------------------------------------------
-    if edge_weight is None or edge_weight is graph.weight:
-        w_denom = 1
-        w_scaled = npc.eid_weight[npc.edge_eid]
+    # --- int64 weight per CSR position ------------------------------
+    if not leftover and scale == 1:
+        eid_w = npc.eid_weight
     else:
-        # An int64 array of the callable's int values per canonical
-        # edge id (the distributed solver's Ŵ_j).
-        precomputed = getattr(edge_weight, "np_scaled", None)
-        if precomputed is not None:
-            w_denom = 1
-            w_scaled = precomputed[npc.edge_eid]
-        else:
-            evaluated = npc.directed_weights(edge_weight)
-            if evaluated is None:
-                return _decline(run, "unscalable edge weights")
-            w_scaled, w_denom = evaluated
-
-    # --- scale the source distances to the common grid --------------
+        eid_w = scaled_reduced_weights(run, leftover or {}, scale)
+        if eid_w is None:
+            return None
+    w_scaled = eid_w[npc.edge_eid]
     source_items = list(sources.items())
-    d0_scaled = scale_fractions([d0 for _, (d0, _) in source_items])
-    if d0_scaled is None:
-        return _decline(run, "unscalable source distances")
-    d0_values, d0_denom = d0_scaled
-    denom = w_denom * d0_denom // math.gcd(w_denom, d0_denom)
-    if denom >= INT64_LIMIT:
-        return _decline(run, "common grid >= 2^62")
-    if denom != w_denom:
-        factor = denom // w_denom
-        # Pre-check in python ints: the int64 multiply itself could
-        # wrap before any bound assertion sees the product.
-        max_abs_w = int(np.abs(w_scaled).max()) if w_scaled.size else 0
-        if max_abs_w * factor >= INT64_LIMIT:
-            return _decline(run, "scaled weights overflow")
-        w_scaled = w_scaled * factor
-    if denom != d0_denom:
-        factor = denom // d0_denom
-        d0_values = [d * factor for d in d0_values]
     # Worst-case candidate distance: any source offset plus n hops (a
     # settled distance of at most n-1 hops, plus the edge it relaxes).
-    max_w = int(w_scaled.max()) if w_scaled.size else 0
-    max_d0 = max((abs(d) for d in d0_values), default=0)
-    if max_d0 + n * max(0, max_w) >= INT64_LIMIT:
+    max_w = int(eid_w.max()) if eid_w.size else 0
+    max_d0 = max((abs(d0) for _, (d0, _) in source_items), default=0)
+    if max_d0 + n * max_w >= INT64_LIMIT:
         return _decline(run, "distance bound overflow")
-    assert_int64_bounds(w_scaled, "bellman_ford weights")
 
     # --- tags: repr-rank ints (equal reprs share a rank, exactly the
     # reference's repr-string comparison) -----------------------------
@@ -541,7 +467,7 @@ def bellman_ford_numpy(
     source_mask = np.zeros(n, dtype=bool)
     for i, (v, (d0, t)) in enumerate(source_items):
         r = rank_of[v]
-        dist_s[r] = d0_values[i]
+        dist_s[r] = d0
         tag_rank[r] = repr_rank[tag_repr(t)]
         tag_idx[r] = i
         source_mask[r] = True
@@ -620,18 +546,18 @@ def bellman_ford_numpy(
     dist: Dict[Node, Any] = {}
     tag: Dict[Node, Any] = {}
     parent: Dict[Node, Optional[Node]] = {}
-    for i, (v, (d0, t)) in enumerate(source_items):
-        dist[v] = Fraction(d0)
+    for v, (d0, t) in source_items:
+        dist[v] = d0
         tag[v] = t
         parent[v] = None
-    # Python ints out of the arrays once; Fraction(x) is the int fast path.
+    # Python ints out of the arrays once.
     dist_l, tag_l, parent_l = (
         dist_s.tolist(), tag_idx.tolist(), parent_rank.tolist()
     )
     source_tags = [t for _, (_, t) in source_items]
     for r in reach_order:
         v = order_nodes[r]
-        dist[v] = Fraction(dist_l[r], denom) if denom != 1 else Fraction(dist_l[r])
+        dist[v] = dist_l[r]
         tag[v] = source_tags[tag_l[r]]
         parent[v] = order_nodes[parent_l[r]]
     return BellmanFordResult(dist, tag, parent, iterations, stabilized)
@@ -770,8 +696,8 @@ def scaled_reduced_weights(
     ``leftover`` holds ints at ``scale``; returns
     ``max(0, w·scale − Σ_endpoint min(w·scale, leftover))`` per
     canonical edge id as int64, or None when ``w·scale`` leaves the
-    int64 bound (counted in ``run.declines``; the caller leaves the
-    Bellman–Ford kernel to evaluate its python callable).
+    int64 bound (counted in ``run.declines``; the Bellman–Ford kernel
+    then declines and the python branch relaxes Ŵ_j itself).
     """
     npc = run.npc
     max_w = int(npc.eid_weight.max()) if npc.num_edges else 0

@@ -29,8 +29,6 @@ from repro.randomized.embedding import VirtualTreeEmbedding, build_embedding
 from repro.randomized.reduced import build_reduced_instance
 from repro.randomized.selection import FirstStageResult, first_stage_selection
 
-from fractions import Fraction
-
 
 class RandomizedResult:
     """Outcome of the randomized algorithm.
@@ -105,7 +103,7 @@ def randomized_steiner_forest(
     root = default_root(graph)
     probe = bellman_ford(
         graph,
-        {root: (Fraction(0), root)},
+        {root: (0, root)},
         run,
         max_iterations=max(1, math.isqrt(n)),
     )

@@ -26,8 +26,6 @@ super-terminals; on w.h.p. executions this set is empty.
 import math
 from typing import Dict, Hashable, Optional, Set, Tuple
 
-from fractions import Fraction
-
 from repro.congest.bellman_ford import bellman_ford
 from repro.congest.bfs import build_bfs_tree
 from repro.congest.broadcast import broadcast_items, upcast_items
@@ -98,7 +96,7 @@ def build_reduced_instance(
     hop_cap = max(1, math.isqrt(n) * max(1, math.ceil(math.log2(max(2, n)))))
     voronoi = bellman_ford(
         f_subgraph,
-        {v: (Fraction(0), v) for v in sorted(s_nodes, key=repr)},
+        {v: (0, v) for v in sorted(s_nodes, key=repr)},
         run,
         max_iterations=hop_cap,
     )

@@ -228,8 +228,6 @@ def measure_primitives(
     the clock; the fingerprint (tree, distances/tags/parents, aggregate,
     full per-edge ledger) is built outside it. The single definition
     behind both ``benchmarks/bench_e22_numpy.py`` and the gate."""
-    from fractions import Fraction
-
     from repro.congest.bellman_ford import bellman_ford
     from repro.congest.bfs import build_bfs_tree
     from repro.congest.broadcast import broadcast_items, convergecast_aggregate
@@ -251,7 +249,7 @@ def measure_primitives(
     nodes = graph.nodes
     step = max(1, len(nodes) // num_sources)
     sources = {
-        nodes[i]: (Fraction(0), f"tag{i}")
+        nodes[i]: (0, f"tag{i}")
         for i in range(0, len(nodes), step)
     }
     bf = bellman_ford(graph, sources, run)

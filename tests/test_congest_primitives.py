@@ -1,8 +1,5 @@
 """Tests for BFS, broadcast/convergecast/upcast, Bellman–Ford, pipeline."""
 
-from fractions import Fraction
-
-
 from repro.congest import (
     CongestRun,
     MergeItem,
@@ -171,20 +168,19 @@ class TestBellmanFord:
         assert not result.stabilized
         assert 4 not in result.dist
 
-    def test_custom_edge_weight(self, path5):
+    def test_reduced_weights_on_a_finer_grid(self, path5):
+        # Scale 2: every unit edge weighs 2, and a leftover of 1 at nodes
+        # 1 and 3 covers half of each edge, so Ŵ = 1 (= 1/2) per edge.
         run = CongestRun(path5)
         result = bellman_ford(
-            path5,
-            {0: (0, "src")},
-            run,
-            edge_weight=lambda u, v: Fraction(1, 2),
+            path5, {0: (0, "src")}, run, leftover={1: 1, 3: 1}, scale=2
         )
-        assert result.dist[4] == 2
+        assert list(result.dist.items()) == [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]
 
     def test_zero_weight_edges_terminate(self, path5):
         run = CongestRun(path5)
         result = bellman_ford(
-            path5, {0: (0, "s")}, run, edge_weight=lambda u, v: Fraction(0)
+            path5, {0: (0, "s")}, run, leftover=dict.fromkeys(path5.nodes, 1)
         )
         assert result.stabilized
         assert all(result.dist[v] == 0 for v in path5.nodes)
@@ -195,7 +191,7 @@ class TestBellmanFord:
             grid44,
             {0: (0, "a"), 15: (0, "b")},
             run,
-            edge_weight=lambda u, v: Fraction(0),
+            leftover=dict.fromkeys(grid44.nodes, 1),
         )
         for v in grid44.nodes:
             seen = set()

@@ -218,21 +218,22 @@ class TestRoundComplexity:
 class TestIntegerMergeGrid:
     @pytest.mark.parametrize("ledger", LEDGERS)
     def test_bellman_ford_sees_only_ints(self, ledger, monkeypatch):
-        """Every phase's Bellman–Ford starts at int distances and relaxes
-        int reduced weights, also on a run whose µ are half-integers."""
+        """Every phase's Bellman–Ford gets int starts, int leftovers and
+        an int scale, and returns int distances, also on a run whose µ
+        are half-integers."""
         case = next(c for c in GOLDEN if c["seed"] == 7)
         inst = golden_instance(case)
         seen = []
 
-        def spy(graph, sources, run, edge_weight=None, **kwargs):
+        def spy(graph, sources, run, *, leftover, scale, **kwargs):
             seen.extend(d0 for d0, _ in sources.values())
-            seen.extend(
-                edge_weight(u, v) for u in graph.nodes
-                for v in graph.neighbors(u)
+            seen.extend(leftover.values())
+            seen.append(scale)
+            result = bellman_ford(
+                graph, sources, run, leftover=leftover, scale=scale, **kwargs
             )
-            return bellman_ford(
-                graph, sources, run, edge_weight=edge_weight, **kwargs
-            )
+            seen.extend(result.dist.values())
+            return result
 
         monkeypatch.setattr(distributed_module, "bellman_ford", spy)
         dist = distributed_moat_growing(
@@ -318,30 +319,46 @@ class TestIntegerMergeGrid:
     @pytest.mark.skipif(
         not numpy_tier_available(), reason="optional numpy extra not installed"
     )
-    def test_numpy_reduced_weights_match_python_callable(self, monkeypatch):
-        """The numpy tier's Ŵ_j array agrees with the Python reduced
-        weight on every edge of every phase, across grid doublings."""
-        checked = 0
+    def test_numpy_phase_kernels_accept_and_match_reference(
+        self, monkeypatch
+    ):
+        """Every phase's Bellman–Ford runs the numpy kernel (no decline)
+        across grid doublings, and its result equals the reference
+        ledger's on the same Ŵ_j."""
+        from repro.perf import npkernels
 
-        def spy(graph, sources, run, edge_weight=None, **kwargs):
-            nonlocal checked
-            np_scaled = edge_weight.np_scaled
-            for eid, (u, v) in enumerate(run.npc.canon_edges):
-                assert int(np_scaled[eid]) == edge_weight(u, v)
-                assert int(np_scaled[eid]) == edge_weight(v, u)
-            checked += 1
-            return bellman_ford(
-                graph, sources, run, edge_weight=edge_weight, **kwargs
+        kernel = npkernels.bellman_ford_numpy
+        accepted = []
+
+        def kernel_spy(*args):
+            result = kernel(*args)
+            accepted.append(result is not None)
+            return result
+
+        def spy(graph, sources, run, **kwargs):
+            scales.add(kwargs["scale"])
+            got = bellman_ford(graph, sources, run, **kwargs)
+            want = bellman_ford(graph, sources, CongestRun(graph), **kwargs)
+            for field in ("dist", "tag", "parent"):
+                assert list(getattr(got, field).items()) == list(
+                    getattr(want, field).items()
+                )
+            assert (got.iterations, got.stabilized) == (
+                want.iterations, want.stabilized
             )
+            return got
 
+        monkeypatch.setattr(npkernels, "bellman_ford_numpy", kernel_spy)
         monkeypatch.setattr(distributed_module, "bellman_ford", spy)
+        scales = set()
         for case in GOLDEN:
             inst = golden_instance(case)
-            dist = distributed_moat_growing(
-                inst, run=make_ledger_run("numpy", inst.graph)
-            )
-            assert [m.phase for m in dist.merges][-1] == dist.num_phases
-        assert checked == sum(case["num_phases"] for case in GOLDEN)
+            run = make_ledger_run("numpy", inst.graph)
+            distributed_moat_growing(inst, run=run)
+            assert not run.declines, case["seed"]
+        assert accepted and all(accepted)
+        assert len(accepted) == sum(case["num_phases"] for case in GOLDEN)
+        assert scales > {1}  # the golden runs do double the grid
 
 
 #: sha256 of (weight, rounds, messages, sorted per-edge traffic, merge

@@ -33,7 +33,6 @@ from repro.perf.npkernels import (  # noqa: E402
     NumpyTopology,
     assert_int64_bounds,
     gather_out_edges,
-    scale_fractions,
     scaled_reduced_weights,
 )
 
@@ -124,17 +123,20 @@ class TestPrimitiveEquality:
         st.integers(1, 3),
         st.sampled_from([None, 1, 3]),
         st.booleans(),
+        st.sampled_from([None, 1, 2, 4]),
         st.integers(0, 10 ** 6),
     )
     @settings(max_examples=30, deadline=None)
     def test_bellman_ford_matches_reference(
-        self, graph, num_sources, max_iterations, use_blocked, seed
+        self, graph, num_sources, max_iterations, use_blocked, scale, seed
     ):
+        """Graph weights (scale None), and Ŵ at scale 1, 2 or 4 with
+        random leftovers up to twice the largest scaled weight."""
         rng = random.Random(seed)
         nodes = list(graph.nodes)
         picks = rng.sample(nodes, min(num_sources, len(nodes)))
         tags = ["A", "B", "A"]
-        dists = [Fraction(0), Fraction(1, 2), Fraction(5, 3)]
+        dists = [0, 1, 5]
         sources = {
             v: (dists[i % 3], tags[i % 3]) for i, v in enumerate(picks)
         }
@@ -143,16 +145,17 @@ class TestPrimitiveEquality:
             rest = [v for v in nodes if v not in sources]
             if rest:
                 blocked = frozenset(rng.sample(rest, 1))
+        kwargs = {"blocked": blocked, "max_iterations": max_iterations}
+        if scale is not None:
+            top = 2 * scale * max((w for _, _, w in graph.edges()), default=1)
+            kwargs["scale"] = scale
+            kwargs["leftover"] = {
+                v: rng.randint(0, top) for v in nodes if rng.random() < 0.5
+            }
         ref_run = CongestRun(graph)
-        ref = bellman_ford(
-            graph, sources, ref_run,
-            blocked=blocked, max_iterations=max_iterations,
-        )
+        ref = bellman_ford(graph, sources, ref_run, **kwargs)
         np_run = NumpyCongestRun(graph)
-        fast = bellman_ford(
-            graph, sources, np_run,
-            blocked=blocked, max_iterations=max_iterations,
-        )
+        fast = bellman_ford(graph, sources, np_run, **kwargs)
         assert list(ref.dist.items()) == list(fast.dist.items())
         assert list(ref.tag.items()) == list(fast.tag.items())
         assert list(ref.parent.items()) == list(fast.parent.items())
@@ -202,21 +205,6 @@ class TestPrimitiveEquality:
         )
         assert _ledger_fp(ref_run) == _ledger_fp(np_run)
 
-    def test_unscalable_edge_weight_falls_back_exactly(self):
-        # Float weights cannot enter the int64 grid: the kernel must
-        # decline and the python path must produce the same
-        # execution as reference.
-        graph = _build_graph("random", 10, 99, "small")
-        weight = lambda u, v: 1.5  # noqa: E731
-        sources = {graph.nodes[0]: (Fraction(0), "A")}
-        ref_run = CongestRun(graph)
-        ref = bellman_ford(graph, sources, ref_run, edge_weight=weight)
-        np_run = NumpyCongestRun(graph)
-        fast = bellman_ford(graph, sources, np_run, edge_weight=weight)
-        assert list(ref.dist.items()) == list(fast.dist.items())
-        assert ref.tag == fast.tag and ref.parent == fast.parent
-        assert _ledger_fp(ref_run) == _ledger_fp(np_run)
-
     def test_equal_repr_distinct_tags_share_a_rank(self):
         # Two distinct tag objects with equal reprs must tie-break as
         # equals, exactly like the reference's repr-string comparison.
@@ -240,8 +228,8 @@ class TestPrimitiveEquality:
         graph = _build_graph("path", 8, 3, "small")
         t1, t2 = Tag("x", 1), Tag("x", 2)
         sources = {
-            graph.nodes[0]: (Fraction(0), t1),
-            graph.nodes[-1]: (Fraction(0), t2),
+            graph.nodes[0]: (0, t1),
+            graph.nodes[-1]: (0, t2),
         }
         ref = bellman_ford(graph, sources, CongestRun(graph))
         fast = bellman_ford(graph, sources, NumpyCongestRun(graph))
@@ -256,23 +244,6 @@ class TestPrimitiveEquality:
 
 
 class TestScalingGuards:
-    def test_scale_fractions_int_passthrough(self):
-        assert scale_fractions([1, 2, 3]) == ([1, 2, 3], 1)
-
-    def test_scale_fractions_lcm(self):
-        scaled = scale_fractions([Fraction(1, 2), Fraction(1, 3), 5])
-        assert scaled == ([3, 2, 30], 6)
-
-    def test_scale_fractions_rejects_floats(self):
-        assert scale_fractions([1, 2.5]) is None
-
-    def test_scale_fractions_rejects_giant_denominators(self):
-        assert scale_fractions([Fraction(1, 2 ** 62)]) is None
-
-    def test_scale_fractions_rejects_out_of_bound_values(self):
-        assert scale_fractions([2 ** 62]) is None
-        assert scale_fractions([Fraction(2 ** 61, 1), Fraction(1, 4)]) is None
-
     def test_assert_int64_bounds(self):
         assert_int64_bounds(np.array([2 ** 62 - 1, -(2 ** 62 - 1)]), "ok")
         with pytest.raises(AssertionError, match="int64 bound"):
@@ -298,7 +269,7 @@ class TestScalingGuards:
         # check n·max_w must decline; conformance still holds via the
         # fallback branch.
         graph = _build_graph("path", 6, 5, "duplicate-large")
-        sources = {graph.nodes[0]: (Fraction(0), "A")}
+        sources = {graph.nodes[0]: (0, "A")}
         ref_run = CongestRun(graph)
         ref = bellman_ford(graph, sources, ref_run)
         np_run = NumpyCongestRun(graph)
@@ -316,7 +287,7 @@ class TestScalingGuards:
             [("n00", "n01", weight), ("n01", "n02", weight)],
             validate=False,
         )
-        sources = {"n00": (Fraction(0), "A")}
+        sources = {"n00": (0, "A")}
         ref_run = CongestRun(graph)
         ref = bellman_ford(graph, sources, ref_run)
         np_run = NumpyCongestRun(graph)
@@ -335,16 +306,11 @@ def _path(weight):
 
 
 #: One workload per ``return None`` in ``bellman_ford_numpy``:
-#: (graph weight, start distance, custom edge weight or None).
+#: (graph weight, start distance, leftover of n00, scale).
 DECLINES = {
-    "unscalable edge weights": (1, Fraction(0), lambda u, v: 0.5),
-    "unscalable source distances": (1, Fraction(1, 2 ** 63), None),
-    # 3^20 · 2^31 > 2^62, though each denominator alone is in bound.
-    "common grid >= 2^62": (
-        1, Fraction(1, 2 ** 31), lambda u, v: Fraction(1, 3 ** 20)
-    ),
-    "scaled weights overflow": (2 ** 40, Fraction(1, 2 ** 30), None),
-    "distance bound overflow": (2 ** 61, Fraction(0), None),
+    # W·scale = 2^70: the Ŵ array cannot be built in int64.
+    "reduced weights overflow": (2 ** 40, 0, 1, 2 ** 30),
+    "distance bound overflow": (2 ** 61, 0, 0, 1),
 }
 
 
@@ -364,20 +330,40 @@ PHASE_DECLINES = {
 class TestDeclineCounts:
     @pytest.mark.parametrize("reason", sorted(DECLINES))
     def test_each_decline_is_counted_with_its_reason(self, reason):
-        weight, start, edge_weight = DECLINES[reason]
+        weight, start, lo, scale = DECLINES[reason]
         graph = _path(weight)
         sources = {"n00": (start, "A")}
+        kwargs = {"leftover": {"n00": lo}, "scale": scale}
         ref_run = CongestRun(graph)
-        ref = bellman_ford(graph, sources, ref_run, edge_weight=edge_weight)
+        ref = bellman_ford(graph, sources, ref_run, **kwargs)
         np_run = NumpyCongestRun(graph)
-        fast = bellman_ford(graph, sources, np_run, edge_weight=edge_weight)
+        fast = bellman_ford(graph, sources, np_run, **kwargs)
         assert np_run.declines == {reason: 1}
         assert list(ref.dist.items()) == list(fast.dist.items())
         assert _ledger_fp(ref_run) == _ledger_fp(np_run)
 
+    @pytest.mark.parametrize("start", [2 ** 62, -(2 ** 62), 2 ** 70])
+    def test_out_of_bound_start_declines_on_the_distance_bound(self, start):
+        # Starts are ints of any size; one that int64 cannot hold falls
+        # back to the python branch instead of reaching the array.
+        graph = _path(3)
+        sources = {"n00": (start, "A"), "n02": (0, "B")}
+        ref_run = CongestRun(graph)
+        ref = bellman_ford(graph, sources, ref_run)
+        np_run = NumpyCongestRun(graph)
+        fast = bellman_ford(graph, sources, np_run)
+        assert np_run.declines == {"distance bound overflow": 1}
+        assert list(ref.dist.items()) == list(fast.dist.items())
+        assert fast.dist["n00"] == start
+        assert _ledger_fp(ref_run) == _ledger_fp(np_run)
+
     def test_accepted_kernel_counts_nothing(self):
         np_run = NumpyCongestRun(_path(3))
-        bellman_ford(np_run.graph, {"n00": (Fraction(1, 2), "A")}, np_run)
+        graph = np_run.graph
+        bellman_ford(graph, {"n00": (1, "A")}, np_run)
+        bellman_ford(
+            graph, {"n00": (1, "A")}, np_run, leftover={"n01": 5}, scale=4
+        )
         assert not np_run.declines
 
     @pytest.mark.parametrize("reason", sorted(PHASE_DECLINES))
@@ -394,34 +380,40 @@ class TestDeclineCounts:
         run, result = _reduced_weights(3, 2 ** 70, 1)
         assert result.tolist() == [0, 3] and not run.declines
 
-    def test_profile_reports_declines_and_plain_records_do_not_change(
-        self, monkeypatch
-    ):
+    def test_profile_reports_declines_and_plain_records_do_not_change(self):
         from repro.engine.jobs import expand_jobs
         from repro.engine.registry import ScenarioSpec
         from repro.engine.runner import execute_job
-        from repro.perf import npkernels
         from repro.perf.report import render_profile_report
 
-        def job(profile):
+        def record(profile, max_weight, backend="numpy"):
             spec = ScenarioSpec(
                 name="declines", family="gnp", algorithms=("distributed",),
-                grid={"n": 10, "p": 0.4, "k": 2, "component_size": 2},
-                seeds=1, backend="numpy", profile=profile,
+                grid={"n": 10, "p": 0.4, "k": 2, "component_size": 2,
+                      "max_weight": max_weight},
+                seeds=1, backend=backend, profile=profile,
             )
-            return expand_jobs(spec)[0].to_dict()
+            result = execute_job(expand_jobs(spec)[0].to_dict())
+            if not profile:
+                result["metrics"].pop("wall_time")
+            return result
 
-        def records():
-            plain, profiled = execute_job(job(False)), execute_job(job(True))
-            plain["metrics"].pop("wall_time")
-            return plain, profiled
+        def outcome(plain):
+            return {
+                key: value for key, value in plain.items()
+                if key not in ("backend", "backend_name", "key")
+            }
 
-        plain, profiled = records()
+        profiled = record(True, 20)
         assert "declines" not in profiled["profile"]
-        # Bellman–Ford declines once nothing scales; results fall back.
-        monkeypatch.setattr(npkernels, "scale_fractions", lambda values: None)
-        plain_declined, profiled_declined = records()
-        assert plain_declined == plain
+        # Near-2^61 weights: n·W leaves int64, so Bellman–Ford declines
+        # and the python branch gives the reference ledger's record.
+        plain_declined = record(False, 2 ** 60)
+        assert "profile" not in plain_declined
+        assert outcome(plain_declined) == outcome(
+            record(False, 2 ** 60, "reference")
+        )
+        profiled_declined = record(True, 2 ** 60)
         declines = profiled_declined["profile"]["declines"]
         assert declines and set(declines) <= set(DECLINES) | set(
             PHASE_DECLINES

@@ -140,7 +140,7 @@ def fraction_moat_growing(instance, epsilon=None):
         boundary = partition.merge(v, w, keep_active=epsilon is not None)
         events.append((mu, v, w, path, added, active, boundary))
     dual = sum((e[0] * e[5] for e in events), Fraction(0))
-    phases = 1 + sum(1 for e in events[:-1] if e[6])
+    phases = 1 + sum(1 for e in events[:-1] if e[6]) if events else 0
     return events, rad, dual, phases
 
 

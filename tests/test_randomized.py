@@ -102,7 +102,7 @@ def _sort_based_embedding(graph, run, rng, truncate_at):
             1, math.isqrt(n) * max(1, math.ceil(math.log2(max(2, n)))))
         voronoi = bellman_ford(
             graph,
-            {v: (Fraction(0), v) for v in sorted(s_nodes, key=repr)},
+            {v: (0, v) for v in sorted(s_nodes, key=repr)},
             run,
             max_iterations=hop_cap,
         )

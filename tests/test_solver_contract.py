@@ -22,6 +22,7 @@ from repro.engine import runner
 from repro.engine.algorithms import ALGORITHMS, SolveResult
 from repro.engine.jobs import Job
 from repro.engine.runner import execute_job
+from repro.model import SteinerForestInstance, WeightedGraph
 from repro.simbackend import numpy_tier_available
 from repro.workloads import random_instance
 
@@ -97,6 +98,28 @@ def test_adapters_return_one_solve_result(algorithm):
         assert result.rounds == result.run.rounds > 0
     else:
         assert result.run is None and result.rounds is None
+
+
+#: The merge-phase column of each moat solver's record.
+MERGE_PHASE_METRIC = {
+    "moat": "num_merge_phases",
+    "rounded": "num_merge_phases",
+    "distributed": "num_phases",
+    "sublinear": "num_merge_phases",
+}
+
+
+def test_merge_phase_counts_agree_without_merges():
+    """Two singleton components on the path 0–1–2: no moat is active,
+    nothing merges, and every moat solver counts 0 merge phases
+    (Definition 4.3)."""
+    graph = WeightedGraph([0, 1, 2], [(0, 1, 1), (1, 2, 1)])
+    instance = SteinerForestInstance(graph, {0: "a", 2: "b"})
+    counts = {
+        name: ALGORITHMS[name].run(instance, random.Random(0)).metrics[metric]
+        for name, metric in MERGE_PHASE_METRIC.items()
+    }
+    assert counts == dict.fromkeys(MERGE_PHASE_METRIC, 0)
 
 
 #: Phases each of these ledger solvers names on its ledger.

@@ -1,14 +1,15 @@
 """The solvers' narrow oracle reads against the full-read references.
 
 Moat growing reads terminal distance rows only, the embedding reads each
-level ancestor off the node's LE list, and the Python Bellman–Ford
-relaxes the graph's weights as scaled ints. The references below are the
+level ancestor off the node's LE list, and Bellman–Ford relaxes the
+reduced weights Ŵ as ints on the grid 1/scale. The references below are the
 straightforward versions they replaced: an event search over the
 all-pairs distances, a scan of every node per (node, level) pair against
 a ``Fraction`` radius, the embedding's path load and level-sweep rounds
 over the reference Dijkstra's paths (from searches, and from the numpy
-key matrix with ids containing ``numpy``), and a Bellman–Ford in
-``Fraction`` arithmetic.
+key matrix with ids containing ``numpy``), and a Bellman–Ford that
+relaxes Ŵ/scale in ``Fraction`` arithmetic (on every ledger, the numpy
+one with ids containing ``numpy``).
 Each must agree exactly, including dict order and value types, on
 tie-heavy graphs (unit-weight torus and ring, equal-weight gnp) with int,
 str and mixed-type nodes. The moat events are checked for Algorithm 1 and
@@ -32,7 +33,8 @@ from repro.core.rounded import rounded_moat_growing
 from repro.model import graph as graph_module
 from repro.model.graph import WeightedGraph
 from repro.model.instance import instance_from_components
-from repro.perf import FastCongestRun
+from repro.perf import make_ledger_run
+from repro.simbackend import numpy_tier_available
 from repro.randomized.embedding import build_embedding
 from repro.workloads.placements import TERMINAL_PLACEMENTS
 from tests.test_graph_oracle import reference_dijkstra, reference_path
@@ -293,14 +295,23 @@ def test_embedding_matches_scan_reference(
 
 
 def reference_bellman_ford(
-    graph, sources, run, edge_weight=None, blocked=None, max_iterations=None
+    graph, sources, run, leftover=None, scale=1, blocked=None,
+    max_iterations=None,
 ):
-    """(dist, tag, parent, iterations, stabilized), relaxing Fractions."""
+    """(dist, tag, parent, iterations, stabilized), relaxing Ŵ/scale in
+    Fractions: max(0, W − min(W, l(x)/scale) − min(W, l(y)/scale))."""
     blocked = blocked or frozenset()
-    edge_weight = edge_weight or graph.weight
+    leftover = leftover or {}
+
+    def edge_weight(x, y):
+        w = Fraction(graph.weight(x, y))
+        lx = Fraction(leftover.get(x, 0), scale)
+        ly = Fraction(leftover.get(y, 0), scale)
+        return max(Fraction(0), w - min(w, lx) - min(w, ly))
+
     dist, tag, parent = {}, {}, {}
     for v, (d0, source_tag) in sources.items():
-        dist[v] = Fraction(d0)
+        dist[v] = Fraction(d0, scale)
         tag[v] = source_tag
         parent[v] = None
     immutable = frozenset(sources)
@@ -338,41 +349,92 @@ def _ledger(run):
     )
 
 
-def _sources(graph, fractional):
+LEDGERS = [
+    "reference",
+    "flatarray",
+    pytest.param("numpy", marks=pytest.mark.skipif(
+        not numpy_tier_available(),
+        reason="optional numpy extra not installed",
+    )),
+]
+
+#: The Ŵ cases: case id → (scale, whether nodes hold leftovers, int
+#: starts on the grid 1/scale). Every other node (in repr order) holds
+#: a leftover 1, 3·scale or 0 in turn, so some edges are covered partly
+#: and some fully (Ŵ = 0); the rest keep W·scale.
+REDUCED_CASES = {
+    "plain": (1, False, (0, 0, 0)),
+    "starts": (1, False, (1, 5, 0)),
+    "reduced-s1": (1, True, (0, 0, 0)),
+    "reduced-s2": (2, True, (1, 5, 0)),
+    "reduced-s4": (4, True, (3, 0, 0)),
+}
+
+
+def _reduced_case(graph, case):
+    scale, covered, starts = REDUCED_CASES[case]
     nodes = list(graph.nodes)
-    starts = (
-        [Fraction(1, 3), Fraction(5, 2), 0]
-        if fractional else [0, 0, 0]
-    )
+    leftover = None
+    if covered:
+        cycle = (1, 3 * scale, 0)
+        leftover = {v: cycle[i % 3] for i, v in enumerate(nodes[::2])}
     picks = [nodes[0], nodes[len(nodes) // 2], nodes[-1]]
-    return {v: (d0, tag) for v, d0, tag in zip(picks, starts, ["b", "a", "b"])}
+    sources = {
+        v: (d0, tag) for v, d0, tag in zip(picks, starts, ["b", "a", "b"])
+    }
+    return scale, leftover, sources
 
 
-@pytest.mark.parametrize("ledger", [CongestRun, FastCongestRun])
+@pytest.mark.parametrize("ledger", LEDGERS)
 @pytest.mark.parametrize("family,kind", GRAPHS)
-@pytest.mark.parametrize("fractional", [False, True])
+@pytest.mark.parametrize("case", sorted(REDUCED_CASES))
 @pytest.mark.parametrize("max_iterations", [None, 0, 2])
-@pytest.mark.parametrize("custom", [False, True])
 def test_bellman_ford_matches_fraction_reference(
-    ledger, family, kind, fractional, max_iterations, custom
+    ledger, family, kind, case, max_iterations
 ):
     graph = tie_graph(family, kind)
-    sources = _sources(graph, fractional)
-    blocked = {list(graph.nodes)[3]}
-    kwargs = {"blocked": blocked, "max_iterations": max_iterations}
-    if custom:
-        kwargs["edge_weight"] = lambda u, v: Fraction(graph.weight(u, v), 2)
-    ref_run, run = ledger(graph), ledger(graph)
+    scale, leftover, sources = _reduced_case(graph, case)
+    if leftover is not None:
+        # Some edge is fully covered, and some partly where W·scale > 1
+        # leaves room (every edge of a tie graph weighs the same).
+        ws = graph.edges()[0][2] * scale
+        reduced = {
+            max(0, ws - min(ws, leftover.get(u, 0))
+                - min(ws, leftover.get(v, 0)))
+            for u, v, _ in graph.edges()
+        }
+        assert 0 in reduced
+        assert ws == 1 or any(0 < r < ws for r in reduced)
+    kwargs = {
+        "leftover": leftover,
+        "scale": scale,
+        "blocked": {list(graph.nodes)[3]},
+        "max_iterations": max_iterations,
+    }
+    ref_run, run = (make_ledger_run(ledger, graph) for _ in range(2))
     dist, tag, parent, iterations, stabilized = reference_bellman_ford(
         graph, sources, ref_run, **kwargs
     )
     got = bellman_ford(graph, sources, run, **kwargs)
-    assert list(got.dist.items()) == list(dist.items())
-    assert all(type(d) is Fraction for d in got.dist.values())
+    assert all(type(d) is int for d in got.dist.values())
+    assert [(v, Fraction(d, scale)) for v, d in got.dist.items()] == list(
+        dist.items()
+    )
     assert list(got.tag.items()) == list(tag.items())
     assert list(got.parent.items()) == list(parent.items())
     assert (got.iterations, got.stabilized) == (iterations, stabilized)
     assert _ledger(run) == _ledger(ref_run)
+
+
+@pytest.mark.parametrize("ledger", LEDGERS)
+@pytest.mark.parametrize("start", [Fraction(1, 2), Fraction(0), 0.0, "0"])
+def test_bellman_ford_rejects_non_int_starts(ledger, start):
+    graph = tie_graph("ring", "str")
+    run = make_ledger_run(ledger, graph)
+    sources = {"v0": (0, "a"), "v7": (start, "b")}
+    with pytest.raises(TypeError, match="'v7'"):
+        bellman_ford(graph, sources, run)
+    assert run.rounds == 0 and run.messages == 0
 
 
 # ---------------------------------------------------------------------

@@ -9,7 +9,6 @@ graph is still a CONGEST violation.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -82,7 +81,7 @@ def test_bfs_on_subgraph_matches_reference(tier):
 @pytest.mark.parametrize("tier", TIERS)
 def test_bellman_ford_on_subgraph_matches_reference(tier):
     graph, subgraph = _graphs()
-    sources = {v: (Fraction(0), v) for v in subgraph.nodes[::12]}
+    sources = {v: (0, v) for v in subgraph.nodes[::12]}
     expected_run = CongestRun(graph)
     expected = bellman_ford(subgraph, sources, expected_run)
     run = make_ledger_run(tier, graph)
@@ -107,7 +106,7 @@ def test_traffic_off_the_ledger_graph_is_rejected(tier):
     with pytest.raises(CongestViolationError, match="non-edge"):
         build_bfs_tree(foreign, run, root=u)
     with pytest.raises(CongestViolationError, match="non-edge"):
-        bellman_ford(foreign, {u: (Fraction(0), u)}, make_ledger_run(tier, graph))
+        bellman_ford(foreign, {u: (0, u)}, make_ledger_run(tier, graph))
 
 
 @pytest.mark.parametrize("tier", TIERS)
