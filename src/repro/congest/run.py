@@ -10,13 +10,23 @@ graph cut (the Alice–Bob cut of the Section 3 lower-bound gadgets).
 
 import math
 from collections import Counter
-from typing import Any, Collection, Dict, Iterable, Mapping, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Collection, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.exceptions import CongestViolationError, SimulationError
 from repro.model.graph import Edge, Node, WeightedGraph, canonical_edge
 
 #: A directed message count: (sender, receiver) -> number of messages.
 DirectedTraffic = Mapping[Tuple[Node, Node], int]
+
+
+class ChargeRecord:
+    """The rounds, messages and per-edge traffic a block charged (see
+    :meth:`CongestRun.recording`)."""
+
+    def __init__(self) -> None:
+        self.rounds = self.messages = 0
+        self.traffic: Counter = Counter()
 
 
 class CongestRun:
@@ -128,12 +138,16 @@ class CongestRun:
 
         One message per edge direction holds by construction. On the
         ledger's own graph the charge skips validation: each sender's
-        cached canonical out-edges go to :meth:`tick_edges` in one list.
+        cached canonical out-edges go to :meth:`tick_edges` in one list
+        (for all senders, the graph's cached list of every out-edge).
         A primitive running on another graph (a subgraph, such as the
         F-subgraph of Lemma G.12) has every pair validated against the
         ledger's graph, exactly as :meth:`tick` would.
         """
         if senders is None:
+            if graph is self.graph:
+                self.tick_edges(graph.all_out_edges())
+                return
             senders = graph.nodes
         if graph is not self.graph:
             self.tick({(u, v): 1 for u in senders for v in graph.neighbors(u)})
@@ -186,6 +200,31 @@ class CongestRun:
                 f"exceeded max_rounds={self.max_rounds} while charging "
                 f"{rounds} rounds ({reason})"
             )
+
+    @contextmanager
+    def recording(self) -> Iterator[ChargeRecord]:
+        """Charge the block as usual and fill the yielded record with what
+        it charged, for :meth:`recharge`. Reading ``edge_messages`` before
+        the swap folds a numpy ledger's pending kernel charges."""
+        record = ChargeRecord()
+        outer, self.edge_messages = self.edge_messages, record.traffic
+        rounds, messages = self.rounds, self.messages
+        try:
+            yield record
+        finally:
+            record.traffic, self.edge_messages = self.edge_messages, outer
+            outer.update(record.traffic)
+            record.rounds, record.messages = self.rounds - rounds, self.messages - messages
+
+    def recharge(self, record: ChargeRecord) -> None:
+        """Charge a :meth:`recording` of executed rounds again: each round
+        as a tick would (phase, profiler, ``max_rounds``), traffic in bulk."""
+        for _ in range(record.rounds):
+            self._advance_round()
+        self.edge_messages.update(record.traffic)
+        self.messages += record.messages
+        if self.profiler is not None and record.messages:
+            self.profiler.add_messages(record.messages)
 
     # ------------------------------------------------------------------
     # Inspection

@@ -237,7 +237,7 @@ def _check_cluster_selection(
     for u, v in forest.edges:
         uf_all.union(u, v)
     for u, v in sorted(forest.edges, key=repr):
-        uf = UnionFind(instance.graph.nodes)
+        uf = UnionFind()  # find() adds the nodes it meets as singletons
         for a, b in forest.edges:
             if (a, b) != (u, v):
                 uf.union(a, b)

@@ -146,6 +146,7 @@ class WeightedGraph:
         self._edges: Optional[Tuple[WeightedEdge, ...]] = None
         self._canon: Optional[Dict[Tuple[Node, Node], Edge]] = None
         self._out_edges: Dict[Node, Tuple[Edge, ...]] = {}
+        self._all_out_edges: Optional[Tuple[Edge, ...]] = None
         self._sssp_cache: Dict[Node, Tuple[Dict[Node, int], array, array]] = {}
         self._metric_cache: Dict[str, int] = {}
         self._keys: Optional["np.ndarray"] = None  # see _key_matrix
@@ -261,6 +262,12 @@ class WeightedGraph:
                 canon[(v, u)] for u in self.neighbors(v)
             )
         return cached
+
+    def all_out_edges(self) -> Tuple[Edge, ...]:
+        """Every node's :meth:`out_edges`, in node order (cached)."""
+        if self._all_out_edges is None:
+            self._all_out_edges = tuple(e for v in self._nodes for e in self.out_edges(v))
+        return self._all_out_edges
 
     def adjacency(self, v: Node) -> Mapping[Node, int]:
         """The neighbor → weight mapping of ``v``, unsorted.

@@ -1,9 +1,14 @@
-"""Tests for the CONGEST ledger: rounds, congestion, cut metering."""
+"""Tests for the CONGEST ledger: rounds, congestion, cut metering,
+recording and re-charging, and the bulk charges of whole rounds."""
 
+import networkx as nx
 import pytest
 
-from repro.congest import CongestRun
+from repro.congest import CongestRun, bellman_ford, build_bfs_tree
 from repro.exceptions import CongestViolationError, SimulationError
+from repro.model import WeightedGraph
+from repro.perf import PhaseProfiler
+from tests.test_pipeline_oracle import LEDGERS, _ledger_state
 
 
 class TestLedger:
@@ -69,3 +74,108 @@ class TestLedger:
         assert run.cut_messages([(1, 2)]) == 2
         assert run.cut_bits([(1, 2)]) == 2 * run.bandwidth_bits
         assert run.cut_messages([(0, 1)]) == 0
+
+
+def _bfs_then_decompose(ledger, graph, recharge):
+    """A BFS tree, then one Bellman–Ford run twice, or recorded and
+    re-charged, then a full-graph tick: the ledger and profiler state
+    at the end."""
+    run = ledger(graph)
+    profiler = PhaseProfiler()
+    profiler.attach(run)
+    run.set_phase("setup")
+    build_bfs_tree(graph, run)
+    pending = getattr(run, "_pending_dirty", None)
+    run.set_phase("decompose")
+    sources = {graph.nodes[0]: (0, "a"), graph.nodes[-1]: (0, "b")}
+    with profiler.span("bellman-ford"):
+        if recharge:
+            before = (run.rounds, run.messages)
+            with run.recording() as record:
+                bellman_ford(graph, sources, run)
+            assert (record.rounds, record.messages) == (
+                run.rounds - before[0], run.messages - before[1]
+            )
+            assert sum(record.traffic.values()) == record.messages
+        else:
+            bellman_ford(graph, sources, run)
+    with profiler.span("bellman-ford"):
+        if recharge:
+            run.recharge(record)
+        else:
+            bellman_ford(graph, sources, run)
+    run.tick_neighbors(graph)
+    profiler.finish()
+    frames = [(f.name, f.rounds, f.messages) for f in profiler.phases]
+    state = (
+        run.rounds, run.messages, run.edge_messages, run.phase_rounds, frames
+    )
+    return state, pending
+
+
+@pytest.mark.parametrize("ledger", LEDGERS)
+@pytest.mark.parametrize("seed", range(3))
+def test_recharge_equals_running_the_primitive_again(ledger, seed):
+    graph = WeightedGraph.from_networkx(
+        nx.connected_watts_strogatz_graph(20, 4, 0.3, seed=seed)
+    )
+    recharged, pending = _bfs_then_decompose(ledger, graph, recharge=True)
+    executed, _ = _bfs_then_decompose(ledger, graph, recharge=False)
+    assert recharged == executed
+    if pending is not None:
+        assert pending  # the numpy BFS kernel's charges were still unfolded
+
+
+@pytest.mark.parametrize("ledger", LEDGERS)
+def test_recharge_past_max_rounds_raises(ledger, path5):
+    run = ledger(path5)
+    with run.recording() as record:
+        for _ in range(3):
+            run.tick_neighbors(path5)
+    run.max_rounds = 5
+    with pytest.raises(SimulationError):
+        run.recharge(record)
+
+
+def _mixed_graph():
+    """Nodes of two types, so repr order and canonical edges mix them."""
+    edges = [
+        (0, 1, 3), (1, "a", 1), ("a", "b", 2), ("b", 2, 5), (2, 0, 4),
+        (1, "c", 2), ("c", 10, 1), (10, "b", 7), ("a", 2, 1), (10, 0, 2),
+    ]
+    return WeightedGraph.from_edges(edges)
+
+
+@pytest.mark.parametrize("ledger", LEDGERS)
+def test_tick_neighbors_with_all_senders_matches_explicit_senders(ledger):
+    graph = _mixed_graph()
+    cached = graph.all_out_edges()
+    assert cached == tuple(e for v in graph.nodes for e in graph.out_edges(v))
+    implicit, explicit = ledger(graph), ledger(graph)
+    for run in (implicit, explicit):
+        run.set_phase("exchange")
+    for _ in range(2):
+        implicit.tick_neighbors(graph)
+        explicit.tick_neighbors(graph, senders=list(graph.nodes))
+    assert graph.all_out_edges() is cached
+    assert cached == tuple(e for v in graph.nodes for e in graph.out_edges(v))
+    assert implicit.edge_messages == explicit.edge_messages
+    assert dict(implicit.edge_messages) == {
+        (u, v): 4 for u, v, _ in graph.edges()
+    }
+    assert (implicit.messages, implicit.rounds) == (
+        explicit.messages, explicit.rounds
+    ) == (4 * graph.num_edges, 2)
+    assert implicit.phase_rounds == explicit.phase_rounds == {"exchange": 2}
+
+
+@pytest.mark.parametrize("ledger", LEDGERS)
+def test_charge_messages_rejects_a_generator_untouched(ledger):
+    graph = _mixed_graph()
+    run = ledger(graph)
+    run.set_phase("exchange")
+    run.tick_edges([(u, v) for u, v, _ in graph.edges()])
+    before = _ledger_state(run)
+    with pytest.raises(TypeError):
+        run.charge_messages((u, v) for u, v, _ in graph.edges())
+    assert _ledger_state(run) == before

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from repro.congest import CongestRun
+import repro.core.sublinear as sublinear_module
+from repro.congest import CongestRun, bellman_ford
 from repro.core import fast_pruning, moat_growing, sublinear_moat_growing
 from repro.core.rounded import rounded_moat_growing
 from repro.exact import steiner_forest_cost
 from repro.model import ForestSolution, SteinerForestInstance
+from repro.perf import PhaseProfiler, make_ledger_run
 from tests.conftest import make_random_instance
+from tests.test_ledger_golden import CASES, _instance, requires_numpy
 
 
 class TestSublinear:
@@ -74,6 +77,78 @@ class TestSublinear:
         result = sublinear_moat_growing(inst)
         assert "setup" in result.run.phase_rounds
         assert "pruning" in result.run.phase_rounds
+
+
+RECHARGE_TIERS = [
+    "reference",
+    "flatarray",
+    pytest.param("numpy", marks=requires_numpy),
+]
+RECHARGE_CASES = list(CASES) + [f"random-{seed}" for seed in range(4)]
+
+
+def _recharge_instance(case):
+    if case.startswith("random-"):
+        return make_random_instance(int(case.split("-")[1]))
+    return _instance(case)
+
+
+def _profiled_sublinear(instance, tier):
+    run = make_ledger_run(tier, instance.graph)
+    profiler = PhaseProfiler()
+    profiler.attach(run)
+    result = sublinear_moat_growing(instance, run=run)
+    profiler.finish()
+    frames = [(f.name, f.rounds, f.messages) for f in profiler.phases]
+    state = (
+        run.rounds, run.messages, run.edge_messages, run.phase_rounds, frames
+    )
+    return result, state
+
+
+class TestDecompositionRecharge:
+    """Step 3a runs its Bellman–Ford once per job and re-charges the
+    recorded execution on every later merge phase; the ledger and the
+    profiler must end exactly as if every merge phase had executed it."""
+
+    @pytest.mark.parametrize("tier", RECHARGE_TIERS)
+    @pytest.mark.parametrize("case", RECHARGE_CASES)
+    def test_recharge_equals_executing_every_merge_phase(
+        self, monkeypatch, case, tier
+    ):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return bellman_ford(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sublinear_module, "bellman_ford", spy)
+            result, recharged = _profiled_sublinear(
+                _recharge_instance(case), tier
+            )
+        assert result.num_growth_phases >= 1
+        assert result.num_merge_phases > 1  # something was re-charged
+        assert len(calls) == 1
+
+        instance = _recharge_instance(case)
+        sources = {v: (0, v) for v in instance.terminals}
+        monkeypatch.setattr(
+            CongestRun,
+            "recharge",
+            lambda run, record: bellman_ford(run.graph, sources, run),
+        )
+        _, executed = _profiled_sublinear(instance, tier)
+        assert recharged == executed
+
+    def test_no_growth_phase_runs_no_bellman_ford(self, monkeypatch, grid33):
+        calls = []
+        monkeypatch.setattr(
+            sublinear_module, "bellman_ford", lambda *a, **k: calls.append(a)
+        )
+        inst = SteinerForestInstance(grid33, {0: "x"})
+        assert sublinear_moat_growing(inst).num_growth_phases == 0
+        assert calls == []
 
 
 class TestFastPruning:

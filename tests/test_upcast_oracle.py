@@ -9,11 +9,6 @@ where it stopped and charges pre-resolved tree edges; on random BFS trees
 it must return the very same items in the very same order and leave the
 ledger in the very same state (rounds, messages, per-edge traffic, phase
 rounds) on the reference, flatarray and numpy ledgers.
-
-The file also pins :meth:`CongestRun.tick_neighbors` with every node
-sending against the same round with the senders listed explicitly, and
-:meth:`CongestRun.charge_messages` rejecting an unsized argument before
-it changes the ledger.
 """
 
 import random
@@ -167,43 +162,3 @@ class TestUpcastCases:
         _compare(
             tree, graph, items, ledger, key=lambda item: item.payload
         )
-
-
-def _mixed_graph():
-    """Nodes of two types, so repr order and canonical edges mix them."""
-    edges = [
-        (0, 1, 3), (1, "a", 1), ("a", "b", 2), ("b", 2, 5), (2, 0, 4),
-        (1, "c", 2), ("c", 10, 1), (10, "b", 7), ("a", 2, 1), (10, 0, 2),
-    ]
-    return WeightedGraph.from_edges(edges)
-
-
-@pytest.mark.parametrize("ledger", LEDGERS)
-def test_tick_neighbors_with_all_senders_matches_explicit_senders(ledger):
-    graph = _mixed_graph()
-    implicit, explicit = ledger(graph), ledger(graph)
-    for run in (implicit, explicit):
-        run.set_phase("exchange")
-    for _ in range(2):
-        implicit.tick_neighbors(graph)
-        explicit.tick_neighbors(graph, senders=list(graph.nodes))
-    assert implicit.edge_messages == explicit.edge_messages
-    assert dict(implicit.edge_messages) == {
-        (u, v): 4 for u, v, _ in graph.edges()
-    }
-    assert (implicit.messages, implicit.rounds) == (
-        explicit.messages, explicit.rounds
-    ) == (4 * graph.num_edges, 2)
-    assert implicit.phase_rounds == explicit.phase_rounds == {"exchange": 2}
-
-
-@pytest.mark.parametrize("ledger", LEDGERS)
-def test_charge_messages_rejects_a_generator_untouched(ledger):
-    graph = _mixed_graph()
-    run = ledger(graph)
-    run.set_phase("exchange")
-    run.tick_edges([(u, v) for u, v, _ in graph.edges()])
-    before = _ledger_state(run)
-    with pytest.raises(TypeError):
-        run.charge_messages((u, v) for u, v, _ in graph.edges())
-    assert _ledger_state(run) == before
