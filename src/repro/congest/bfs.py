@@ -65,23 +65,24 @@ class TreeUpEdges(Dict[Node, Edge]):
     """child → the canonical edge to its tree parent, resolved against
     ``run``'s graph on first use, so a convergecast can charge its
     rounds through :meth:`~repro.congest.run.CongestRun.tick_edges`
-    without looking each pair up again. A tree edge that is not an edge
-    of the ledger's graph raises as :meth:`~repro.congest.run.
-    CongestRun.tick` would."""
+    without looking each pair up again (``has_edge``, then the graph's
+    repr map gives ``canonical_pairs()``'s form without that map). A
+    tree edge that is not an edge of the ledger's graph raises as
+    :meth:`~repro.congest.run.CongestRun.tick` would."""
 
     def __init__(self, tree: BFSTree, run: CongestRun) -> None:
         super().__init__()
         self._parent = tree.parent
-        self._canon = run.graph.canonical_pairs()
+        self._graph = run.graph
 
     def __missing__(self, v: Node) -> Edge:
-        pair = (v, self._parent[v])
-        edge = self._canon.get(pair)
-        if edge is None:
+        p = self._parent[v]
+        if not self._graph.has_edge(v, p):
             raise CongestViolationError(
-                "message over non-edge ({!r}, {!r})".format(*pair)
+                "message over non-edge ({!r}, {!r})".format(v, p)
             )
-        self[v] = edge
+        reprs = self._graph.repr_of
+        edge = self[v] = (v, p) if reprs[v] <= reprs[p] else (p, v)
         return edge
 
 

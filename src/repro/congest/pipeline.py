@@ -145,23 +145,22 @@ def _pipelined_filtered_upcast(
             first.setdefault(rank[index], index)
             index += 1
     root = buffers.setdefault(tree.root, _Buffer())
+    singletons = list(range(len(component_id)))
 
     def kruskal(buffer: _Buffer, ranks: List[int]) -> None:
         """Set ``buffer.kept`` to the ascending ``ranks`` that keep the
         node's merges cycle-free."""
         first = buffer.first
-        parent: Dict[int, int] = {}  # component roots are absent
+        parent = singletons.copy()  # union-find over the component ids
         kept: List[int] = []
         for r in ranks:
             if len(kept) == joins_needed:
                 break  # every component is joined: the rest close cycles
             x, y = ends[first[r]]
-            while x in parent:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            while y in parent:
-                parent[y] = parent.get(parent[y], parent[y])
-                y = parent[y]
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
             if x != y:
                 parent[x] = y
                 kept.append(r)

@@ -230,6 +230,11 @@ class CongestRun:
     # Inspection
     # ------------------------------------------------------------------
 
+    def max_edge_messages(self) -> int:
+        """The largest per-edge message count in ``edge_messages`` (0
+        when no edge carried a message)."""
+        return max(self.edge_messages.values(), default=0)
+
     @property
     def bits(self) -> int:
         """Total bits sent, counting each message at the full budget B."""

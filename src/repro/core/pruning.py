@@ -216,8 +216,7 @@ def fast_pruning(
     # terminals on both of its sides within the tree — Lemma F.9).
     with maybe_span(getattr(run, "profiler", None), "minimal-subforest"):
         solution = forest.minimal_subforest(instance)
-        if len(forest.edges) <= 200:  # the check is quadratic in |F|
-            _check_cluster_selection(instance, forest, solution)
+        _check_cluster_selection(instance, forest, solution)
     return PruningResult(solution, run, num_clusters, sigma)
 
 
@@ -227,25 +226,42 @@ def _check_cluster_selection(
     solution: ForestSolution,
 ) -> None:
     """Lemma F.9 invariant: a forest edge is kept iff removing it separates
-    two terminals of the same input component."""
-    components = {
-        label: nodes
-        for label, nodes in instance.components.items()
-        if len(nodes) >= 2
-    }
-    uf_all = UnionFind(instance.graph.nodes)
+    two terminals of the same input component.
+
+    One pass per tree: the edge from ``v`` to its parent separates a
+    label iff ``v``'s subtree holds some, not all, of its terminals in
+    the tree."""
+    adjacency: Dict[Node, List[Node]] = {}
     for u, v in forest.edges:
-        uf_all.union(u, v)
-    for u, v in sorted(forest.edges, key=repr):
-        uf = UnionFind()  # find() adds the nodes it meets as singletons
-        for a, b in forest.edges:
-            if (a, b) != (u, v):
-                uf.union(a, b)
-        separates = any(
-            len({uf.find(x) for x in nodes if uf_all.connected(x, u)}) > 1
-            for nodes in components.values()
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+    labels = instance.labels
+    parent: Dict[Node, Node] = {}
+    separating: Set[Tuple[Node, Node]] = set()
+    for root in sorted(adjacency, key=repr):
+        if root in parent:
+            continue
+        parent[root] = root
+        order = [root]  # breadth-first: parents before children
+        for u in order:
+            for v in adjacency[u]:
+                if v not in parent:
+                    parent[v] = u
+                    order.append(v)
+        assert sum(len(adjacency[u]) for u in order) == 2 * len(order) - 2, (
+            f"cluster selection needs a forest: the tree of {root!r} has a cycle"
         )
-        kept = canonical_edge(u, v) in solution.edges
-        assert kept == separates, (
+        for label in {labels[v] for v in order if v in labels}:
+            below = {v: int(labels.get(v) == label) for v in order}
+            for v in reversed(order[1:]):
+                below[parent[v]] += below[v]
+            separating.update(
+                canonical_edge(v, parent[v])
+                for v in order[1:]
+                if 0 < below[v] < below[root]
+            )
+    for u, v in sorted(forest.edges, key=repr):
+        kept = (u, v) in solution.edges
+        assert kept == ((u, v) in separating), (
             f"cluster selection rule violated at edge ({u!r}, {v!r})"
         )

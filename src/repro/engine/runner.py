@@ -103,8 +103,9 @@ def execute_job(job_dict: Mapping[str, Any]) -> Dict[str, Any]:
         metrics["rounds"] = run.rounds
         metrics["messages"] = run.messages
         metrics["bits"] = run.bits
-        if run.edge_messages:
-            metrics["max_edge_messages"] = max(run.edge_messages.values())
+        peak = run.max_edge_messages()
+        if peak:
+            metrics["max_edge_messages"] = peak
     network_model = build_network_model(job.network)
     if network_model.name != "reliable" and run is not None:
         # The solvers run against the clean ledger; surface the network

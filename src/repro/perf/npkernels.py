@@ -41,7 +41,7 @@ keeping the reference path dependency-free.
 """
 
 from collections import Counter
-from typing import Any, Callable, Collection, Dict, List, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -272,6 +272,34 @@ class NumpyCongestRun(FastCongestRun):
         self.messages += count
         if self.profiler is not None and count:
             self.profiler.add_messages(count)
+
+    def max_edge_messages(self) -> int:
+        """:meth:`CongestRun.max_edge_messages` without folding: Counter
+        entries go onto a copy of the pending array by edge id (one with
+        no id, an equal-repr pair's other direction, counts alone)."""
+        totals, loose = self._pending.copy(), 0
+        for edge, count in self._edge_counter.items():
+            eid = self.npc.eid_of.get(edge)
+            if eid is None:
+                loose = max(loose, count)
+            else:
+                totals[eid] += count
+        return max(loose, int(totals.max(initial=0)))
+
+    def tick_neighbors(
+        self, graph: WeightedGraph, senders: Optional[Iterable[Node]] = None
+    ) -> None:
+        """:meth:`CongestRun.tick_neighbors`; with every node sending on
+        the ledger's own graph, 2 messages per edge id go to the pending
+        array at once."""
+        if senders is not None or graph is not self.graph:
+            return super().tick_neighbors(graph, senders)
+        self._advance_round()
+        self._pending += 2
+        self._pending_dirty = True
+        self.messages += 2 * self.npc.num_edges
+        if self.profiler is not None:
+            self.profiler.add_messages(2 * self.npc.num_edges)
 
     def charge_eids(self, eids: np.ndarray) -> None:
         """Batch-charge one message per canonical-edge id (repeats

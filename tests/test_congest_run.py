@@ -5,9 +5,14 @@ import networkx as nx
 import pytest
 
 from repro.congest import CongestRun, bellman_ford, build_bfs_tree
+from repro.congest.bfs import BFSTree, TreeUpEdges
+from repro.engine.jobs import expand_jobs
+from repro.engine.registry import ScenarioSpec
+from repro.engine.runner import execute_job
 from repro.exceptions import CongestViolationError, SimulationError
 from repro.model import WeightedGraph
 from repro.perf import PhaseProfiler
+from tests.test_ledger_golden import requires_numpy
 from tests.test_pipeline_oracle import LEDGERS, _ledger_state
 
 
@@ -179,3 +184,71 @@ def test_charge_messages_rejects_a_generator_untouched(ledger):
     with pytest.raises(TypeError):
         run.charge_messages((u, v) for u, v, _ in graph.edges())
     assert _ledger_state(run) == before
+
+
+def _peak_matches_counter(run):
+    """Take ``max_edge_messages()`` before anything reads (and so folds)
+    ``edge_messages``, compare it with the Counter's max, and say
+    whether a numpy ledger had kernel charges pending."""
+    pending = getattr(run, "_pending_dirty", None)
+    peak = run.max_edge_messages()
+    assert peak == max(run.edge_messages.values(), default=0)
+    return peak, pending
+
+
+@pytest.mark.parametrize("ledger", LEDGERS)
+def test_max_edge_messages_is_the_counters_max(ledger):
+    graph = _mixed_graph()
+    run = ledger(graph)
+    assert _peak_matches_counter(run)[0] == 0
+    run.tick({(0, 1): 1, (1, 0): 1})  # Python-path charges only
+    assert _peak_matches_counter(run)[0] == 2
+    # Kernel charges (the numpy BFS flood and all-neighbor round) land on
+    # edges the Counter already holds.
+    build_bfs_tree(graph, run)
+    run.tick_neighbors(graph)
+    run.tick_edges([(0, 1)])
+    before, pending = _peak_matches_counter(run)
+    assert pending is not False
+    with run.recording() as record:
+        assert _peak_matches_counter(run)[0] == 0
+        build_bfs_tree(graph, run)
+        run.tick_neighbors(graph)
+        inside, pending = _peak_matches_counter(run)
+        assert pending is not False
+    assert inside == max(record.traffic.values())
+    assert before < _peak_matches_counter(run)[0] <= before + inside
+
+
+@pytest.mark.parametrize("ledger", LEDGERS)
+def test_tree_up_edges_are_the_canonical_pairs(ledger):
+    graph = _mixed_graph()
+    canon = graph.canonical_pairs()
+    for root in graph.nodes:
+        tree = build_bfs_tree(graph, ledger(graph), root=root)
+        up_edges = TreeUpEdges(tree, ledger(graph))
+        for v, p in tree.parent.items():
+            if p is not None:
+                assert up_edges[v] == canon[(v, p)]
+    stray = BFSTree(0, {0: None, "c": 0}, {0: 0, "c": 1})
+    with pytest.raises(CongestViolationError, match="non-edge"):
+        TreeUpEdges(stray, ledger(graph))["c"]
+
+
+@requires_numpy
+def test_numpy_distributed_job_builds_no_per_edge_maps(monkeypatch):
+    """On its own graph the numpy ledger charges the all-neighbor round
+    by edge id, tree edges resolve one by one, and the record's peak
+    edge load comes off the pending array: no map over every edge."""
+    def refuse(self):
+        raise AssertionError("built a map over every edge")
+
+    monkeypatch.setattr(WeightedGraph, "canonical_pairs", refuse)
+    monkeypatch.setattr(WeightedGraph, "all_out_edges", refuse)
+    spec = ScenarioSpec(
+        name="per-edge-maps", family="gnp", algorithms=("distributed",),
+        grid={"n": 1024, "p": 0.008, "k": 3, "component_size": 2},
+        backend="numpy", seeds=1,
+    )
+    record = execute_job(expand_jobs(spec)[0].to_dict())
+    assert record["metrics"]["max_edge_messages"] > 0

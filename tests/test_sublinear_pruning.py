@@ -1,16 +1,20 @@
 """Tests for the Section 4.2 algorithm and the F.3 fast pruning."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import repro.core.pruning as pruning_module
 import repro.core.sublinear as sublinear_module
 from repro.congest import CongestRun, bellman_ford
 from repro.core import fast_pruning, moat_growing, sublinear_moat_growing
 from repro.core.rounded import rounded_moat_growing
 from repro.exact import steiner_forest_cost
-from repro.model import ForestSolution, SteinerForestInstance
+from repro.model import ForestSolution, SteinerForestInstance, WeightedGraph
+from repro.model.graph import canonical_edge
+from repro.util import UnionFind
 from repro.perf import PhaseProfiler, make_ledger_run
 from tests.conftest import make_random_instance
 from tests.test_ledger_golden import CASES, _instance, requires_numpy
@@ -198,3 +202,131 @@ class TestFastPruning:
         for edge in pruned.solution.edges:
             reduced = ForestSolution(grid44, pruned.solution.edges - {edge})
             assert not reduced.is_feasible(inst)
+
+
+def _quadratic_cluster_selection_check(instance, forest, solution):
+    """The Lemma F.9 check as first written, one union-find per forest
+    edge: the oracle for ``pruning._check_cluster_selection``."""
+    components = {
+        label: nodes
+        for label, nodes in instance.components.items()
+        if len(nodes) >= 2
+    }
+    uf_all = UnionFind(instance.graph.nodes)
+    for u, v in forest.edges:
+        uf_all.union(u, v)
+    for u, v in sorted(forest.edges, key=repr):
+        uf = UnionFind()
+        for a, b in forest.edges:
+            if (a, b) != (u, v):
+                uf.union(a, b)
+        separates = any(
+            len({uf.find(x) for x in nodes if uf_all.connected(x, u)}) > 1
+            for nodes in components.values()
+        )
+        kept = canonical_edge(u, v) in solution.edges
+        assert kept == separates, (
+            f"cluster selection rule violated at edge ({u!r}, {v!r})"
+        )
+
+
+def _random_forest_case(seed):
+    """A random forest inside a connected graph, with labels placed
+    inside its trees (so the forest is feasible)."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    trees, forest_edges = [[0]], []
+    for v in range(1, n):
+        if rng.random() < 0.2:
+            trees.append([v])
+        else:
+            tree = rng.choice(trees)
+            forest_edges.append((rng.choice(tree), v))
+            tree.append(v)
+    # A path through every node keeps the graph connected.
+    extra = [(v, v + 1) for v in range(n - 1)]
+    extra += [tuple(rng.sample(range(n), 2)) for _ in range(n // 2)] if n > 2 else []
+    weights = {}
+    for u, v in forest_edges + extra:
+        weights.setdefault(canonical_edge(u, v), rng.randint(1, 5))
+    graph = WeightedGraph(range(n), [(u, v, w) for (u, v), w in weights.items()])
+    labels = {}
+    for label in range(rng.randint(1, 5)):
+        tree = rng.choice(trees)
+        for v in rng.sample(tree, rng.randint(1, min(4, len(tree)))):
+            labels.setdefault(v, f"L{label}")
+    instance = SteinerForestInstance(graph, labels)
+    return rng, instance, ForestSolution(graph, forest_edges)
+
+
+def _check_outcome(check, instance, forest, selection):
+    try:
+        check(instance, forest, selection)
+    except AssertionError as error:
+        # The first line: assertion rewriting in a test module appends
+        # the compared values to the oracle's message.
+        return str(error).splitlines()[0]
+    return None
+
+
+class TestClusterSelectionCheck:
+    @pytest.mark.parametrize("seed", range(80))
+    def test_matches_the_quadratic_check(self, seed):
+        rng, instance, forest = _random_forest_case(seed)
+        solution = forest.minimal_subforest(instance)
+        selections = [solution]
+        if solution.edges:  # drop a needed edge
+            dropped = rng.choice(sorted(solution.edges, key=repr))
+            selections.append(ForestSolution(
+                instance.graph, solution.edges - {dropped}
+            ))
+        spare = sorted(forest.edges - solution.edges, key=repr)
+        if spare:  # keep an edge that separates nothing
+            selections.append(ForestSolution(
+                instance.graph, solution.edges | {rng.choice(spare)}
+            ))
+        outcomes = [
+            _check_outcome(check, instance, forest, selection)
+            for selection in selections
+            for check in (
+                pruning_module._check_cluster_selection,
+                _quadratic_cluster_selection_check,
+            )
+        ]
+        assert outcomes[0::2] == outcomes[1::2]
+        assert outcomes[0] is None
+        assert all(
+            message.startswith("cluster selection rule violated at edge")
+            for message in outcomes[2:]
+        )
+
+    def test_a_wrong_selection_raises(self, grid44):
+        inst = SteinerForestInstance(grid44, {0: "a", 3: "a", 12: "b"})
+        forest = ForestSolution(
+            grid44, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 8), (8, 12)]
+        )
+        solution = forest.minimal_subforest(inst)
+        assert solution.edges == {(0, 1), (1, 2), (2, 3)}
+        pruning_module._check_cluster_selection(inst, forest, solution)
+        wrong = ForestSolution(grid44, [(0, 1), (1, 2), (2, 3), (8, 12)])
+        with pytest.raises(AssertionError, match=r"violated at edge \(12, 8\)"):
+            pruning_module._check_cluster_selection(inst, forest, wrong)
+
+    def test_runs_above_two_hundred_forest_edges(self, monkeypatch):
+        """fast_pruning checks Lemma F.9 on a 255-edge spanning tree."""
+        graph = WeightedGraph.from_edges(
+            [(v, v + 1, 1) for v in range(255)]
+        )
+        inst = SteinerForestInstance(graph, {10: "a", 200: "a", 30: "b"})
+        forest = ForestSolution(graph, [(v, v + 1) for v in range(255)])
+        checked = []
+        real = pruning_module._check_cluster_selection
+
+        def spy(instance, forest, solution):
+            checked.append(len(forest.edges))
+            real(instance, forest, solution)
+
+        monkeypatch.setattr(pruning_module, "_check_cluster_selection", spy)
+        pruned = fast_pruning(inst, forest, sigma=4)
+        assert checked == [255]
+        assert len(pruned.solution.edges) == 190
