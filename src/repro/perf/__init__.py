@@ -7,7 +7,9 @@ cost of the paper's Steiner-forest pipeline:
 * :mod:`repro.perf.profiler` — :class:`PhaseProfiler`, the phase-level
   rounds / messages / bytes / wall-time instrumentation attached to a
   :class:`~repro.congest.run.CongestRun` (zero effect when detached —
-  results, round counts, and cache keys are pinned byte-identical).
+  results, round counts, and cache keys are pinned byte-identical),
+  and :func:`gc_pauses`, which counts the cyclic garbage collector's
+  collections and pauses per generation over a profiled job.
 * :mod:`repro.perf.fastpath` — :func:`make_ledger_run`, which threads
   the experiment engine's ``--backend`` axis (including ``auto``) into
   the ledger-level solvers, and :class:`FastCongestRun`, the type the
@@ -32,7 +34,7 @@ Python path on the regular primitives).
 """
 
 from repro.perf.fastpath import FastCongestRun, make_ledger_run
-from repro.perf.profiler import PhaseProfiler, PhaseStats, maybe_span
+from repro.perf.profiler import PhaseProfiler, PhaseStats, gc_pauses, maybe_span
 from repro.perf.report import render_profile_report
 
 try:  # The numpy tier is an optional extra: absence is not an error.
@@ -48,6 +50,7 @@ __all__ = [
     "make_ledger_run",
     "PhaseProfiler",
     "PhaseStats",
+    "gc_pauses",
     "maybe_span",
     "render_profile_report",
 ]

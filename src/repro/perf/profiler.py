@@ -25,6 +25,7 @@ stores on profiled job records (schema v5) and what ``repro profile``
 renders as a flame-style text report (:mod:`repro.perf.report`).
 """
 
+import gc
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -235,3 +236,36 @@ def maybe_span(profiler: Optional[PhaseProfiler], name: str) -> Iterator[None]:
     else:
         with profiler.span(name):
             yield
+
+
+@contextmanager
+def gc_pauses(
+    clock: Callable[[], float] = time.perf_counter,
+) -> Iterator[Dict[str, List[Any]]]:
+    """Count the cyclic garbage collector's work while the block runs.
+
+    Yields ``{"collections": [...], "seconds": [...]}``, one entry per
+    generation (0, 1, 2), filled in by a ``gc.callbacks`` hook that is
+    registered on entry and removed on exit, whatever the block raises.
+    A pause is the time from the collector's ``start`` callback to its
+    ``stop`` callback.
+    """
+    pauses: Dict[str, List[Any]] = {
+        "collections": [0, 0, 0],
+        "seconds": [0.0, 0.0, 0.0],
+    }
+    started = [0.0]
+
+    def hook(phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            started[0] = clock()
+        else:
+            generation = info["generation"]
+            pauses["collections"][generation] += 1
+            pauses["seconds"][generation] += clock() - started[0]
+
+    gc.callbacks.append(hook)
+    try:
+        yield pauses
+    finally:
+        gc.callbacks.remove(hook)

@@ -57,16 +57,36 @@ def _merge_profiles(profiles: List[Mapping[str, Any]]) -> List[Dict[str, Any]]:
     ]
 
 
+def _gc_line(group: List[Mapping[str, Any]]) -> List[str]:
+    """The group's mean collections and pause seconds per generation.
+
+    The mean is over the records whose profile carries ``gc`` (profiles
+    stored before it was recorded lack it); none of them gives no line.
+    A group that never collected still gets its line of zeros.
+    """
+    pauses = [r["profile"]["gc"] for r in group if "gc" in r["profile"]]
+    if not pauses:
+        return []
+    jobs = len(pauses)
+    cells = []
+    for generation in range(3):
+        collections = sum(p["collections"][generation] for p in pauses) / jobs
+        seconds = sum(p["seconds"][generation] for p in pauses) / jobs
+        cells.append(f"gen{generation} {collections:.1f} in {seconds:.4f} s")
+    return ["gc pauses (mean per job): " + ", ".join(cells)]
+
+
 def render_profile_report(records: List[Mapping[str, Any]]) -> str:
     """Render profiled records as per-pipeline flame-style breakdowns.
 
     Each (scenario, algorithm, backend) group gets one section: a row
     per phase (nested spans indented under their parent phase) with
     mean rounds, messages, wall seconds, the wall share, and a bar
-    proportional to it, then one line per numpy-kernel decline reason
-    with its count summed over the group. Records without a ``profile``
-    field are ignored; an all-unprofiled input renders a hint instead of
-    nothing.
+    proportional to it, then the mean garbage-collector pauses per job
+    (when the records carry them, see :func:`_gc_line`) and one line per
+    numpy-kernel decline reason with its count summed over the group.
+    Records without a ``profile`` field are ignored; an all-unprofiled
+    input renders a hint instead of nothing.
     """
     groups: Dict[Tuple[str, str, str], List[Mapping[str, Any]]] = {}
     for record in records:
@@ -111,6 +131,7 @@ def render_profile_report(records: List[Mapping[str, Any]]) -> str:
             f"{'total'.ljust(name_width)} {total_rounds:9.1f} "
             f"{total_messages:10.1f} {total_wall:9.4f} {1:6.1%}"
         )
+        lines.extend(_gc_line(group))
         declines: Counter = Counter()
         for record in group:
             declines.update(record["profile"].get("declines", {}))

@@ -75,10 +75,11 @@ def strip_volatile(record: Mapping[str, Any]) -> Dict[str, Any]:
     pins between served and directly computed results.
 
     Drops every ``wall_time`` (and profile ``wall``/``seconds``) value
-    recursively; everything else — cache key, configuration, logical
-    metrics — is part of the deterministic result and survives.
+    and a profile's garbage-collector counts (``gc``) recursively;
+    everything else — cache key, configuration, logical metrics — is
+    part of the deterministic result and survives.
     """
-    volatile = {"wall_time", "wall", "seconds", "wall_seconds"}
+    volatile = {"wall_time", "wall", "seconds", "wall_seconds", "gc"}
 
     def clean(value: Any) -> Any:
         if isinstance(value, dict):

@@ -17,6 +17,8 @@ Three contracts are pinned here:
    ``tests/test_ledger_golden.py``).
 """
 
+import gc
+import json
 import random
 import time
 
@@ -38,6 +40,7 @@ from repro.model.instance import SteinerForestInstance
 from repro.perf import (
     FastCongestRun,
     PhaseProfiler,
+    gc_pauses,
     make_ledger_run,
     maybe_span,
     render_profile_report,
@@ -298,6 +301,110 @@ class TestProfilingIsFree:
         assert first["wall_time"] >= 0.1
         # metrics.wall_time is the solve alone.
         assert record["metrics"]["wall_time"] < first["wall_time"]
+
+
+class TestGcPauses:
+    """A profiled job records the cyclic collector's work; nothing else
+    does, and the hook never outlives the job."""
+
+    BASE = {
+        "scenario": "perf-test", "family": "gnp",
+        "family_params": {"n": 10, "p": 0.4}, "k": 2,
+        "component_size": 2, "algorithm": "distributed", "seed_index": 0,
+    }
+
+    def test_gc_pauses_counts_per_generation(self):
+        enabled = gc.isenabled()
+        gc.disable()  # no automatic collection lands inside the block
+        try:
+            with gc_pauses(clock=FakeClock()) as pauses:
+                gc.collect(0)
+                gc.collect(2)
+                gc.collect(2)
+        finally:
+            if enabled:
+                gc.enable()
+        assert pauses == {"collections": [1, 0, 2], "seconds": [1.0, 0.0, 2.0]}
+
+    def _job_seeing_callbacks(self, monkeypatch, profile):
+        from repro.engine import runner
+
+        seen = []
+        build = runner.build_instance
+
+        def build_and_collect(job):
+            seen.append(list(gc.callbacks))
+            gc.collect()
+            return build(job)
+
+        monkeypatch.setattr(runner, "build_instance", build_and_collect)
+        return execute_job(dict(self.BASE, profile=profile)), seen[0]
+
+    def test_profiled_job_records_gc_while_it_runs(self, monkeypatch):
+        before = list(gc.callbacks)
+        record, during = self._job_seeing_callbacks(monkeypatch, True)
+        assert len(during) == len(before) + 1
+        assert gc.callbacks == before
+        pauses = record["profile"]["gc"]
+        assert sorted(pauses) == ["collections", "seconds"]
+        assert len(pauses["collections"]) == len(pauses["seconds"]) == 3
+        assert pauses["collections"][2] >= 1
+        assert all(seconds >= 0.0 for seconds in pauses["seconds"])
+
+    def test_unprofiled_job_registers_no_hook(self, monkeypatch):
+        before = list(gc.callbacks)
+        record, during = self._job_seeing_callbacks(monkeypatch, False)
+        assert during == before
+        assert "profile" not in record
+
+    def test_hook_is_removed_when_the_job_raises(self, monkeypatch):
+        from repro.engine import runner
+
+        def broken(job):
+            raise RuntimeError("build failed")
+
+        before = list(gc.callbacks)
+        monkeypatch.setattr(runner, "build_instance", broken)
+        with pytest.raises(RuntimeError, match="build failed"):
+            execute_job(dict(self.BASE, profile=True))
+        assert gc.callbacks == before
+
+    def test_profiled_record_differs_only_by_its_profile(self):
+        plain = execute_job(self.BASE)
+        profiled = execute_job(dict(self.BASE, profile=True))
+        profile = profiled.pop("profile")
+        assert "gc" in profile
+        for record in (plain, profiled):
+            record["metrics"].pop("wall_time")
+        assert json.dumps(plain, sort_keys=True) == json.dumps(
+            dict(profiled, key=plain["key"]), sort_keys=True
+        )
+
+    def test_report_prints_a_gc_line_per_group(self):
+        def record(pauses):
+            profile = {"phases": [{"phase": "p", "rounds": 1, "messages": 1,
+                                   "wall_time": 0.5}]}
+            if pauses is not None:
+                profile["gc"] = pauses
+            return {"scenario": "s", "algorithm": "a",
+                    "backend_name": "reference", "profile": profile}
+
+        idle = record({"collections": [0, 0, 0], "seconds": [0.0, 0.0, 0.0]})
+        text = render_profile_report([idle])
+        assert ("gc pauses (mean per job): gen0 0.0 in 0.0000 s, "
+                "gen1 0.0 in 0.0000 s, gen2 0.0 in 0.0000 s") in text.splitlines()
+        busy = record({"collections": [4, 2, 1], "seconds": [0.002, 0.004, 0.02]})
+        text = render_profile_report([idle, busy])
+        assert ("gc pauses (mean per job): gen0 2.0 in 0.0010 s, "
+                "gen1 1.0 in 0.0020 s, gen2 0.5 in 0.0100 s") in text.splitlines()
+        # A profile stored before gc pauses were recorded gets no line.
+        assert "gc pauses" not in render_profile_report([record(None)])
+
+    def test_strip_volatile_drops_the_gc_counts(self):
+        from repro.serve import strip_volatile
+
+        profiled = execute_job(dict(self.BASE, profile=True))
+        assert "gc" not in strip_volatile(profiled)["profile"]
 
 
 class TestLedgerFastPathConformance:
