@@ -17,11 +17,13 @@ surviving merges have reached the root, giving O(D + |result|) rounds overall
 ``stop_predicate`` hook implements).
 """
 
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Set, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.congest.bfs import BFSTree, TreeUpEdges
 from repro.congest.run import CongestRun
-from repro.model.graph import Node
+from repro.model.graph import Edge, Node
 from repro.perf.profiler import maybe_span
 
 
@@ -29,9 +31,10 @@ class MergeItem:
     """A candidate merge flowing through the filtered upcast.
 
     Attributes:
-        key: a totally ordered tuple — for the paper's order this is
-            (phase index, reduced weight, tie-break identifiers), cf.
-            Lemma 4.13.
+        key: any totally ordered, hashable value; equal keys are one
+            merge to the order. The distributed solver passes one int
+            per candidate, its Lemma 4.13 order
+            (:class:`repro.core.distributed.CandidateOrder`).
         a, b: the two entities (terminals / moat leaders) the merge joins;
             used for cycle filtering.
         payload: opaque data carried along (e.g. the inducing edge and path
@@ -41,7 +44,7 @@ class MergeItem:
     __slots__ = ("key", "a", "b", "payload")
 
     def __init__(
-        self, key: tuple, a: Hashable, b: Hashable, payload: object = None
+        self, key: Any, a: Hashable, b: Hashable, payload: object = None
     ) -> None:
         self.key = key
         self.a = a
@@ -88,15 +91,16 @@ def pipelined_filtered_upcast(
 
     Returns the accepted merges in ascending order.
 
-    Every key is ranked once on entry (one sort of the pooled items;
-    equal keys share a rank), so the per-node state is integers only: a
-    node keeps the first item to arrive for each rank (both directions
-    of an edge may carry the same key) and its surviving ranks in
-    ascending order; each arrival re-runs the node's Kruskal filter over
-    its survivors and the fresh ranks, over integer component ids, and
-    the filter stops once every component is joined. A round visits
-    only the nodes that may still have something to announce, and
-    charges the senders' tree edges, resolved once, through
+    Keys are compared as they are: equal keys are one entry of a
+    node's state, which keeps the first item to arrive for each key
+    (both directions of an edge may carry the same key), its surviving
+    keys in ascending order, and the unannounced ones among them. Each
+    arrival filters the node's survivors and the fresh keys Kruskal
+    style over integer component ids: keys above every survivor extend
+    the node's forest, other arrivals rebuild it, and the filter stops
+    once every component is joined. A round visits only the nodes with
+    something to announce, and charges the senders' tree edges,
+    resolved once, through
     :meth:`~repro.congest.run.CongestRun.tick_edges`. All ledgers take
     this one path.
 
@@ -119,74 +123,88 @@ def _pipelined_filtered_upcast(
     run: CongestRun,
     stop_predicate: Optional[Callable[[List[MergeItem]], bool]],
 ) -> List[MergeItem]:
-    pooled = [item for items in local_items.values() for item in items]
-    keys = [item.key for item in pooled]
-    rank = [0] * len(pooled)
-    current, previous = -1, None
-    for index in sorted(range(len(keys)), key=keys.__getitem__):
-        if current < 0 or keys[index] != previous:
-            current, previous = current + 1, keys[index]
-        rank[index] = current
-    entity_id = dict.fromkeys(e for item in pooled for e in (item.a, item.b))
+    pooled = list(chain.from_iterable(local_items.values()))
+    ent_a = list(map(attrgetter("a"), pooled))
+    ent_b = list(map(attrgetter("b"), pooled))
+    entity_id = dict.fromkeys(chain(ent_a, ent_b))
     component_id: Dict[Hashable, int] = {}
     for e in entity_id:
         entity_id[e] = component_id.setdefault(
             base_component.get(e, e), len(component_id)
         )
-    ends = [(entity_id[item.a], entity_id[item.b]) for item in pooled]
+    to_id = entity_id.__getitem__
+    tails, heads = list(map(to_id, ent_a)), list(map(to_id, ent_b))
     joins_needed = len(component_id) - 1
-
-    # Per-node state, only for the nodes that hold or receive items.
-    buffers: Dict[Node, _Buffer] = {}
-    index = 0
-    for v, items in local_items.items():
-        first = buffers.setdefault(v, _Buffer()).first
-        for _ in items:
-            first.setdefault(rank[index], index)
-            index += 1
-    root = buffers.setdefault(tree.root, _Buffer())
     singletons = list(range(len(component_id)))
 
-    def kruskal(buffer: _Buffer, ranks: List[int]) -> None:
-        """Set ``buffer.kept`` to the ascending ``ranks`` that keep the
-        node's merges cycle-free."""
-        first = buffer.first
-        parent = singletons.copy()  # union-find over the component ids
-        kept: List[int] = []
-        for r in ranks:
-            if len(kept) == joins_needed:
-                break  # every component is joined: the rest close cycles
-            x, y = ends[first[r]]
+    def kruskal(buffer: _Buffer, fresh: List[Any]) -> None:
+        """Filter the node's merges after the ``fresh`` keys (sorted)
+        reached it."""
+        first, kept = buffer.first, buffer.kept
+        if not kept or fresh[0] > kept[-1]:
+            joins = joins_needed - len(kept)
+            if not joins:
+                return  # every component is joined: the rest close cycles
+            parent, ordered, grown = buffer.forest, fresh, []
+        else:
+            joins = joins_needed
+            parent, ordered, grown = singletons.copy(), sorted(kept + fresh), []
+        for key in ordered:
+            i = first[key]
+            x, y = tails[i], heads[i]
             while parent[x] != x:
                 parent[x] = x = parent[parent[x]]
             while parent[y] != y:
                 parent[y] = y = parent[parent[y]]
             if x != y:
                 parent[x] = y
-                kept.append(r)
-        buffer.kept, buffer.scan_from = kept, 0
+                grown.append(key)
+                joins -= 1
+                if not joins:
+                    break  # every component is joined: the rest close cycles
+        if ordered is fresh:  # none announced, all above the kept ones
+            kept += grown
+            grown.reverse()
+            buffer.todo[:0] = grown
+        else:
+            # A discarded merge never returns, so the announced keys
+            # among ``grown`` are the kept ones no longer to do.
+            done = set(kept).difference(buffer.todo)
+            buffer.kept, buffer.forest = grown, parent
+            buffer.todo = [key for key in reversed(grown) if key not in done]
 
-    for buffer in buffers.values():
-        kruskal(buffer, sorted(buffer.first))
-    # pending: tree positions of the nodes that may still have something
-    # to announce; senders go in tree order.
+    # Per-node state, only for the nodes that hold or receive items.
+    buffers: Dict[Node, _Buffer] = {}
+    start = 0
+    for v, items in local_items.items():
+        buffer = buffers[v] = _Buffer(singletons)
+        first = buffer.first
+        for item in items:
+            first.setdefault(item.key, start)
+            start += 1
+        if first:
+            kruskal(buffer, sorted(first))
+    root = buffers.setdefault(tree.root, _Buffer(singletons))
+    # pending: tree positions of the nodes with something to announce;
+    # senders go in tree order.
     nodes = list(tree.parent)
     position = {v: i for i, v in enumerate(nodes)}
     pending = {
         position[v]
         for v, buffer in buffers.items()
-        if buffer.kept and v != tree.root
+        if buffer.todo and v != tree.root
     }
+    parent_of = tree.parent
     up_edges = TreeUpEdges(tree, run)
 
     checked = 0
 
-    def stop_at(kept: List[int], finalized: int) -> Optional[List[MergeItem]]:
+    def stop_at(kept: List[Any], finalized: int) -> Optional[List[MergeItem]]:
         # Offer each newly finalized prefix to the predicate once.
         nonlocal checked
         if stop_predicate is None or finalized <= checked:
             return None
-        prefix = [pooled[root.first[r]] for r in kept[:finalized]]
+        prefix = [pooled[root.first[key]] for key in kept[:finalized]]
         for cut in range(checked + 1, finalized + 1):
             if stop_predicate(prefix[:cut]):
                 return prefix[:cut]
@@ -206,27 +224,9 @@ def _pipelined_filtered_upcast(
             )
             return stopped
 
-        # Tree order decides which of two equal keys reaching one parent
-        # in the same round arrives first.
-        arrivals: List[Tuple[Node, int, int]] = []
-        for at_position in sorted(pending):
-            v = nodes[at_position]
-            buffer = buffers[v]
-            kept, done = buffer.kept, buffer.announced
-            at = buffer.scan_from
-            while at < len(kept) and kept[at] in done:
-                at += 1
-            buffer.scan_from = at
-            if at == len(kept):
-                pending.discard(at_position)
-                continue
-            r = kept[at]
-            done.add(r)
-            arrivals.append((v, r, buffer.first[r]))
-
-        if not arrivals:
-            # Sends depend only on the alive lists and the announced sets,
-            # and alive lists change only through sends — one quiet round
+        if not pending:
+            # Sends depend only on the kept lists and what is announced,
+            # and kept lists change only through sends — one quiet round
             # means the system is quiescent. Charge O(depth) for the
             # convergecast that detects this (Lemma 4.14's termination
             # detection).
@@ -236,44 +236,68 @@ def _pipelined_filtered_upcast(
             stopped = stop_at(root.kept, len(root.kept))
             if stopped is not None:
                 return stopped
-            return [pooled[root.first[r]] for r in root.kept]
+            return [pooled[root.first[key]] for key in root.kept]
 
-        rounds_in_primitive += 1
-        run.tick_edges([up_edges[v] for v, _, _ in arrivals])
-        fresh: Dict[Node, List[int]] = {}
-        for v, r, index in arrivals:
-            parent = tree.parent[v]
-            buffer = buffers.get(parent)
-            if buffer is None:
-                buffer = buffers[parent] = _Buffer()
-            if r not in buffer.first:
-                buffer.first[r] = index
-                fresh.setdefault(parent, []).append(r)
-        for v, ranks in fresh.items():
+        # Every pending node sends its least unannounced kept key; tree
+        # order decides which of two equal keys reaching one parent in
+        # the same round arrives first.
+        sent: List[Edge] = []
+        arrivals: List[Tuple[Node, Any, int]] = []
+        for at_position in sorted(pending):
+            v = nodes[at_position]
             buffer = buffers[v]
-            kruskal(buffer, sorted(buffer.kept + ranks))
-            if v != tree.root:
+            todo = buffer.todo
+            key = todo.pop()
+            if not todo:
+                pending.discard(at_position)
+            sent.append(up_edges[v])
+            arrivals.append((parent_of[v], key, buffer.first[key]))
+        rounds_in_primitive += 1
+        run.tick_edges(sent)
+
+        fresh: Dict[Node, List[Any]] = {}
+        for v, key, index in arrivals:
+            buffer = buffers.get(v)
+            if buffer is None:
+                buffer = buffers[v] = _Buffer(singletons)
+            first = buffer.first
+            if key not in first:
+                first[key] = index
+                held = fresh.get(v)
+                if held is None:
+                    fresh[v] = [key]
+                else:
+                    held.append(key)
+        # A filter that changes a node's kept keys keeps a fresh one, so
+        # it never empties a pending node's todo.
+        for v, held in fresh.items():
+            buffer = buffers[v]
+            held.sort()
+            kruskal(buffer, held)
+            if buffer.todo and v != tree.root:
                 pending.add(position[v])
 
 
 class _Buffer:
-    """One node's state in the filtered upcast, over integer ranks.
+    """One node's state in the filtered upcast.
 
     Attributes:
-        first: rank → pooled index of the first item of that key to
+        first: key → pooled index of the first item of that key to
             reach the node.
-        kept: the cycle-free merges among all the node has seen,
-            ascending. Adding merges never revives a discarded one (the
-            discarded merge still closes its cycle), so arrivals are
-            filtered together with ``kept`` alone.
-        announced: the ranks already sent to the parent.
-        scan_from: every rank of ``kept`` before this index is announced.
+        kept: the keys of the cycle-free merges among all the node has
+            seen, ascending. Adding merges never revives a discarded one
+            (the discarded merge still closes its cycle), so arrivals
+            are filtered together with ``kept`` alone.
+        forest: union-find parents over the component ids, joined by
+            the merges of ``kept``.
+        todo: the keys of ``kept`` not yet announced to the parent,
+            descending.
     """
 
-    __slots__ = ("first", "kept", "announced", "scan_from")
+    __slots__ = ("first", "kept", "forest", "todo")
 
-    def __init__(self) -> None:
-        self.first: Dict[int, int] = {}
-        self.kept: List[int] = []
-        self.announced: Set[int] = set()
-        self.scan_from = 0
+    def __init__(self, singletons: List[int]) -> None:
+        self.first: Dict[Any, int] = {}
+        self.kept: List[Any] = []
+        self.forest = singletons.copy()
+        self.todo: List[Any] = []

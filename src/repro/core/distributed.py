@@ -53,8 +53,10 @@ the reported :attr:`AcceptedMerge.mu` is a ``Fraction``: key / (2·scale).
 
 The run is Algorithm 1 with another tie-break at equal µ. Merges happen at
 the same levels of total growth as in :func:`repro.core.moat.moat_growing`,
-but merges at one level are ordered by the owner-rank pair, then the edge
-repr, where Algorithm 1 orders them by the reprs of the two terminals. So a
+but merges at one level are ordered by the owner-rank pair, then the
+edge's end ranks (for int, str and int-tuple nodes the order of the edge
+reprs; :class:`CandidateOrder` codes all of it as one int), where
+Algorithm 1 orders them by the reprs of the two terminals. So a
 merge phase can end at another merge of that level, and the moats after a
 phase can differ: on ``make_random_instance(seed, n_range=(8, 24),
 k_range=(2, 5), max_weight=50)`` seeds 79 and 175 do, and on seed 79 the
@@ -67,7 +69,8 @@ round count realizes the O(ks + t) bound of Theorem 4.17.
 """
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.congest.bfs import BFSTree, build_bfs_tree
 from repro.congest.bellman_ford import bellman_ford
@@ -76,7 +79,7 @@ from repro.congest.pipeline import MergeItem, pipelined_filtered_upcast
 from repro.congest.run import CongestRun
 from repro.core.moat import MoatPartition
 from repro.exceptions import SimulationError
-from repro.model.graph import Edge, Node, canonical_edge
+from repro.model.graph import Edge, Node, WeightedGraph, canonical_edge
 from repro.model.instance import SteinerForestInstance
 from repro.model.solution import ForestSolution
 from repro.perf.profiler import maybe_span
@@ -171,6 +174,144 @@ def share_terminal_labels(
     return tree
 
 
+class CandidateOrder:
+    """Lemma 4.13's order of the candidate merges of step (b), one int
+    per candidate.
+
+    A candidate of key κ = µ·2·scale, owner pair p and edge i = (u, v)
+    (the i-th entry of ``graph.edges()``) has the code
+
+        ((κ·R² + p)·n² + rank(u)·n + rank(v))·m + i,
+
+    with R terminals, n nodes and m listed edges. The owner pair is
+    coded by the owners' :attr:`~repro.core.moat.MoatPartition.rank`,
+    min·R + max, and rank is the graph's :attr:`rank_of`, except that
+    nodes of equal repr take the rank of the first of them. Ranks order
+    as reprs do, and for int, str and int-tuple nodes the rank pair
+    orders as ``repr(edge)`` does, so codes order as the tuples
+    (κ, p, repr(edge)) did. The last digit i only tells candidates of
+    equal tuples apart: at a node the first one found still wins, and
+    the upcast's key drops it, so such candidates keep one key there.
+
+    Nodes are handled by their position in ``graph.nodes`` and moats
+    by an id below R.
+    """
+
+    __slots__ = ("nodes", "tails", "heads", "weights", "ties", "num_ranks",
+                 "edge_unit", "pair_unit", "key_unit")
+
+    def __init__(self, graph: WeightedGraph, num_ranks: int) -> None:
+        edges = graph.edges()
+        self.nodes = graph.nodes
+        position = graph.rank_of
+        self.tails = list(map(position.__getitem__, map(itemgetter(0), edges)))
+        self.heads = list(map(position.__getitem__, map(itemgetter(1), edges)))
+        self.weights = list(map(itemgetter(2), edges))
+        n, m = graph.num_nodes, len(edges)
+        reprs, first = graph.repr_of, {}
+        rank = [first.setdefault(reprs[v], r) for r, v in enumerate(self.nodes)]
+        self.ties = [
+            (rank[u] * n + rank[v]) * m + i
+            for i, (u, v) in enumerate(zip(self.tails, self.heads))
+        ]
+        self.num_ranks = num_ranks
+        self.edge_unit = m
+        self.pair_unit = n * n * m
+        self.key_unit = num_ranks * num_ranks * n * n * m
+
+    def least(
+        self,
+        scale: int,
+        geometry: List[Optional[Tuple[int, int, int, bool]]],
+        leftover: Mapping[Node, int],
+    ) -> Dict[int, int]:
+        """Slot → the code of the least candidate there, in order of the
+        first candidate found; the slot of node a's candidates towards
+        moat id b is a's position·R + b.
+
+        ``geometry`` holds, by position, each node with a tree owner's
+        moat id, ψ, owner rank and whether its moat is active (None
+        without an owner); ``leftover`` holds l(x) of the covered nodes
+        (both on the grid 1/scale).
+        """
+        least: Dict[int, int] = {}
+        get = least.get
+        nodes, num_ranks = self.nodes, self.num_ranks
+        pair_unit, key_unit = self.pair_unit, self.key_unit
+        for ix, iy, w, tie in zip(self.tails, self.heads, self.weights,
+                                  self.ties):
+            gx, gy = geometry[ix], geometry[iy]
+            if gx is None or gy is None:
+                continue  # no owner
+            mx, px, rx, ax = gx
+            my, py, ry, ay = gy
+            if mx == my:
+                continue  # one moat already: a cycle anywhere
+            tie += pair_unit * (
+                rx * num_ranks + ry if rx <= ry else ry * num_ranks + rx
+            )
+            ws = w * scale
+            # Definition 4.11 requires the active side.
+            if ax:
+                if ay:
+                    code = (ws + px + py) * key_unit + tie
+                else:
+                    lo = leftover.get(nodes[iy], 0)
+                    code = 2 * (ws + px - lo) * key_unit + tie
+                slot = ix * num_ranks + my
+                best = get(slot)
+                if best is None or code < best:
+                    least[slot] = code
+            if ay:
+                if ax:
+                    code = (ws + px + py) * key_unit + tie
+                else:
+                    lo = leftover.get(nodes[ix], 0)
+                    code = 2 * (ws + py - lo) * key_unit + tie
+                slot = iy * num_ranks + mx
+                best = get(slot)
+                if best is None or code < best:
+                    least[slot] = code
+        return least
+
+    def items(
+        self,
+        least: Mapping[int, int],
+        tree_owner: Mapping[Node, Optional[Node]],
+    ) -> Dict[Node, List[MergeItem]]:
+        """node → its candidates as upcast items: the key is the code
+        without its edge digit, the payload 2·i + 1 if the node is the
+        second end of edge i, else 2·i."""
+        nodes, tails, heads = self.nodes, self.tails, self.heads
+        num_ranks, edge_unit = self.num_ranks, self.edge_unit
+        local: Dict[Node, List[MergeItem]] = {}
+        for slot, code in least.items():
+            ia = slot // num_ranks
+            key, i = divmod(code, edge_unit)
+            a = nodes[ia]
+            if tails[i] == ia:
+                b, payload = nodes[heads[i]], 2 * i
+            else:
+                b, payload = nodes[tails[i]], 2 * i + 1
+            item = MergeItem(key, tree_owner[a], tree_owner[b], payload)
+            held = local.get(a)
+            if held is None:
+                local[a] = [item]
+            else:
+                held.append(item)
+        return local
+
+    def mu_key(self, item: MergeItem) -> int:
+        """The item's µ key, µ·2·scale."""
+        return item.key // (self.key_unit // self.edge_unit)
+
+    def ends(self, item: MergeItem) -> Tuple[Edge, Node, Node]:
+        """The item's edge (u, v), its own node and the other end."""
+        i, second = divmod(item.payload, 2)  # type: ignore[call-overload]
+        edge = (self.nodes[self.tails[i]], self.nodes[self.heads[i]])
+        return (edge, edge[1], edge[0]) if second else (edge, edge[0], edge[1])
+
+
 def distributed_moat_growing(
     instance: SteinerForestInstance,
     run: Optional[CongestRun] = None,
@@ -205,13 +346,10 @@ def distributed_moat_growing(
     forest_edges: Set[Edge] = set()
     phase = 0
     max_phases = 2 * max(1, instance.num_components)
-    # Lemma 4.13's tie-break compares owner pairs by repr, so a pair is
-    # coded by the terminals' repr ranks (below len(terminals)), which
-    # orders as the pair of reprs does.
     terminal_rank = state.rank
-    num_ranks = len(state.terminals)
-    edges = graph.edges()
-    edge_repr: Dict[Edge, str] = {}
+    moat_id = {t: i for i, t in enumerate(state.terminals)}
+    position, n = graph.rank_of, graph.num_nodes
+    order = CandidateOrder(graph, len(state.terminals))
     while state.has_active():
         phase += 1
         if phase > max_phases:
@@ -259,66 +397,27 @@ def distributed_moat_growing(
 
         # --------------------------------------------------------------
         # Step (b): one round of owner exchange, then local candidate
-        # construction for cross-tree edges, keyed on the grid
-        # 1/(2·scale): the key is µ·2·scale. Every candidate stored at
+        # construction for cross-tree edges. Every candidate stored at
         # node a has a's tree owner as its first end, so a's entry filter
         # in step (c) keeps exactly its least candidate per other moat
         # component; only those are built.
         # --------------------------------------------------------------
         run.tick_neighbors(graph)
-        psi = {
-            x: tree_dist.get(x, 0) - leftover.get(x, 0)
-            for x, own in tree_owner.items()
-            if own is not None
-        }
-        active = {t: state.is_active(t) for t in instance.terminals}
         base = state.component_map()
-        moat = {x: base[own] for x, own in tree_owner.items() if own is not None}
-
-        def order(key: int, a: Node, b: Node, edge: Edge) -> tuple:
-            """The full candidate key: µ, then the owner pair, then the
-            edge (Lemma 4.13's tie-break)."""
-            ra, rb = terminal_rank[tree_owner[a]], terminal_rank[tree_owner[b]]
-            pair = ra * num_ranks + rb if ra <= rb else rb * num_ranks + ra
-            er = edge_repr.get(edge)
-            if er is None:
-                er = edge_repr[edge] = repr(edge)
-            return (key, pair, er)
-
-        # (node a, moat of b) → (key, b, edge) of a's least candidate.
-        least: Dict[Tuple[Node, Node], Tuple[int, Node, Edge]] = {}
-        for x, y, w in edges:
-            mx, my = moat.get(x), moat.get(y)
-            if mx is None or my is None or mx == my:
-                continue  # no owner, or one moat already: a cycle anywhere
-            edge = (x, y)  # graph.edges() is in canonical order
-            ws = w * scale
-            for a, b, ma, mb in ((x, y, mx, my), (y, x, my, mx)):
-                if not active[ma]:
-                    continue  # Definition 4.11 requires the active side
-                if active[mb]:
-                    key = ws + psi[a] + psi[b]
-                else:
-                    key = 2 * (ws + psi[a] - leftover.get(b, 0))
-                best = least.get((a, mb))
-                if (
-                    best is None
-                    or key < best[0]
-                    or key == best[0]
-                    and order(key, a, b, edge) < order(key, a, *best[1:])
-                ):
-                    least[(a, mb)] = (key, b, edge)
-        local_candidates: Dict[Node, List[MergeItem]] = {}
-        for (a, _), (key, b, edge) in least.items():
-            local_candidates.setdefault(a, []).append(
-                MergeItem(
-                    key=order(key, a, b, edge),
-                    a=tree_owner[a],
-                    b=tree_owner[b],
-                    payload=(edge, a, b),
+        active = {t: state.is_active(t) for t in instance.terminals}
+        geometry: List[Optional[Tuple[int, int, int, bool]]] = [None] * n
+        for x, own in tree_owner.items():
+            if own is not None:
+                rep = base[own]
+                geometry[position[x]] = (
+                    moat_id[rep],
+                    tree_dist.get(x, 0) - leftover.get(x, 0),
+                    terminal_rank[own],
+                    active[rep],
                 )
-            )
-
+        local_candidates = order.items(
+            order.least(scale, geometry, leftover), tree_owner
+        )
         # --------------------------------------------------------------
         # Step (c): pipelined filtered collection with phase-end stop.
         # --------------------------------------------------------------
@@ -345,14 +444,14 @@ def distributed_moat_growing(
         # Step (d): broadcast the accepted merges; all nodes update their
         # replicated partition locally, to the trial state above.
         # --------------------------------------------------------------
-        mus = [Fraction(item.key[0], 2 * scale) for item in accepted]
+        mus = [Fraction(order.mu_key(item), 2 * scale) for item in accepted]
         broadcast_items(
             tree,
             [(item.a, item.b, mu) for item, mu in zip(accepted, mus)],
             run,
         )
         for item, mu in zip(accepted, mus):
-            edge, a_side, b_side = item.payload  # type: ignore[misc]
+            edge, a_side, b_side = order.ends(item)
             path = list(reversed(path_to_owner(a_side)))
             path += path_to_owner(b_side)
             merges.append(
@@ -369,7 +468,7 @@ def distributed_moat_growing(
         state = trial
 
         # An odd µ key lies off the grid 1/scale: double the grid.
-        mu_phase = accepted[-1].key[0]
+        mu_phase = order.mu_key(accepted[-1])
         if mu_phase % 2:
             scale *= 2
             for x in leftover:

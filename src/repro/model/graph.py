@@ -208,6 +208,12 @@ class WeightedGraph:
         (computed once; do not mutate)."""
         return self._repr
 
+    @property
+    def rank_of(self) -> Mapping[Node, int]:
+        """node → its index in :attr:`nodes`, so ranks order as reprs do
+        (nodes of equal repr get distinct ranks; do not mutate)."""
+        return self._rank
+
     def edges(self) -> List[WeightedEdge]:
         """All edges as (u, v, weight) with canonical endpoint order."""
         if self._edges is None:

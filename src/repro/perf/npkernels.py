@@ -120,7 +120,7 @@ class NumpyTopology:
         self.repr_of = graph.repr_of
         order = graph.nodes  # already in repr order
         self.order = order
-        rank_of = {v: i for i, v in enumerate(order)}
+        rank_of = graph.rank_of
         self.rank_of = rank_of
         n = len(order)
 
@@ -140,10 +140,11 @@ class NumpyTopology:
                 )
         m = len(kept)
         self.num_edges = m
-        self.eid_u = np.fromiter((rank_of[u] for u, _, _ in kept), np.int64, m)
-        self.eid_v = np.fromiter((rank_of[v] for _, v, _ in kept), np.int64, m)
-        self.eid_weight = np.fromiter((w for _, _, w in kept), np.int64, m)
-        canon_edges: List[Edge] = [(u, v) for u, v, _ in kept]
+        tails, heads, weights = zip(*kept) if kept else ((), (), ())
+        self.eid_u = np.fromiter(map(rank_of.__getitem__, tails), np.int64, m)
+        self.eid_v = np.fromiter(map(rank_of.__getitem__, heads), np.int64, m)
+        self.eid_weight = np.fromiter(weights, np.int64, m)
+        canon_edges: List[Edge] = list(zip(tails, heads))
         self.canon_edges = canon_edges
         self.eid_of = dict(zip(canon_edges, range(m)))
 
@@ -153,7 +154,7 @@ class NumpyTopology:
         src = np.concatenate((self.eid_u, self.eid_v))
         dst = np.concatenate((self.eid_v, self.eid_u))
         eids = np.concatenate((np.arange(m, dtype=np.int64),) * 2)
-        perm = np.lexsort((dst, src))
+        perm = np.argsort(src * n + dst, kind="stable")
         self.indices = dst[perm]
         self.edge_eid = eids[perm]
         indptr = np.zeros(n + 1, dtype=np.int64)

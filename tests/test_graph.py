@@ -80,6 +80,22 @@ class TestConstruction:
         assert g.out_edges(9) == ((10, 9), (11, 9))
         assert g.repr_of[10] == "10"
 
+    def test_rank_of_is_the_position_in_nodes(self):
+        class Twin:
+            def __repr__(self):
+                return "t"
+
+        twins = [Twin(), Twin()]
+        for g in (
+            WeightedGraph([9, 10, 11], [(9, 10, 2), (9, 11, 3)]),
+            WeightedGraph(["b", (1, 2), 3, *twins],
+                          [("b", 3, 1), ((1, 2), 3, 1), (3, twins[0], 1),
+                           (twins[0], twins[1], 1)]),
+        ):
+            assert dict(g.rank_of) == {v: i for i, v in enumerate(g.nodes)}
+        # Equal reprs keep distinct ranks, in the order given.
+        assert g.rank_of[twins[0]] + 1 == g.rank_of[twins[1]]
+
     def test_edge_weight_sum(self, triangle):
         assert triangle.edge_weight_sum([(0, 1), (1, 2)]) == 3
 

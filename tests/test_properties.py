@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import distributed as distributed_module
 from repro.core import distributed_moat_growing, moat_growing
 from repro.core.moat import MoatPartition
 from repro.core.rounded import _as_fraction, rounded_moat_growing
@@ -18,7 +20,7 @@ from repro.model.transforms import (
 )
 from repro.randomized.le_lists import le_list_of_row
 from repro.util import UnionFind
-from tests.conftest import le_list_by_sort
+from tests.conftest import le_list_by_sort, make_random_instance
 
 
 @st.composite
@@ -276,3 +278,169 @@ class TestLeListProperties:
         row, rank = case
         descending = sorted(row, key=rank.__getitem__, reverse=True)
         assert le_list_of_row(row, descending) == le_list_by_sort(row, rank)
+
+
+# ---------------------------------------------------------------------
+# Step (b)'s int candidate code against the tuple order it replaces
+# ---------------------------------------------------------------------
+
+_REPR_NODES = st.one_of(
+    st.integers(-1000, 1000),
+    st.text(max_size=4),
+    st.lists(st.integers(-20, 20), max_size=3).map(tuple),
+)
+
+
+@st.composite
+def mixed_node_graphs(draw):
+    """Graphs (not necessarily connected) whose nodes mix ints, strs and
+    int tuples."""
+    nodes = draw(st.lists(_REPR_NODES, min_size=2, max_size=12, unique=True))
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+        .filter(lambda p: p[0] != p[1]),
+        max_size=30,
+    ))
+    return WeightedGraph(nodes, [(u, v, 1) for u, v in pairs], validate=False)
+
+
+def tuple_order_winners(graph, scale, geometry, leftover, num_ranks):
+    """Step (b) as it was with the tuple key (µ key, owner pair,
+    repr(edge)): (node a, moat id of b) → (full key, b, edge), the first
+    candidate found winning ties, in order of the first one found."""
+    position = graph.rank_of
+    least = {}
+    for x, y, w in graph.edges():
+        gx, gy = geometry[position[x]], geometry[position[y]]
+        if gx is None or gy is None or gx[0] == gy[0]:
+            continue
+        for a, b, ga, gb in ((x, y, gx, gy), (y, x, gy, gx)):
+            if not ga[3]:
+                continue
+            if gb[3]:
+                key = w * scale + ga[1] + gb[1]
+            else:
+                key = 2 * (w * scale + ga[1] - leftover.get(b, 0))
+            ra, rb = ga[2], gb[2]
+            pair = ra * num_ranks + rb if ra <= rb else rb * num_ranks + ra
+            full = (key, pair, repr((x, y)))
+            best = least.get((a, gb[0]))
+            if best is None or full < best[0]:
+                least[(a, gb[0])] = (full, b, (x, y))
+    return least
+
+
+def compare_step_b(monkeypatch, inst):
+    """Run ``distributed`` on ``inst`` and check every phase's step (b)
+    against :func:`tuple_order_winners`: the same winners, in the same
+    order, and item keys that order and tie as the tuples do. Returns
+    the number of phases checked and of winners whose other moat was
+    inactive."""
+    order_cls = distributed_module.CandidateOrder
+    real = order_cls.least
+    graph = inst.graph
+    counts = [0, 0]  # phases, winners towards an inactive moat
+
+    def checked(self, scale, geometry, leftover):
+        least = real(self, scale, geometry, leftover)
+        expected = tuple_order_winners(
+            graph, scale, geometry, leftover, self.num_ranks
+        )
+        got = {}
+        for slot, code in least.items():
+            a, moat = graph.nodes[slot // self.num_ranks], slot % self.num_ranks
+            item = self.items({slot: code}, {v: v for v in graph.nodes})[a][0]
+            edge, own, other = self.ends(item)
+            assert own == a
+            got[(a, moat)] = (item.key, self.mu_key(item), other, edge)
+        assert list(got) == list(expected)
+        for slot, (full, b, edge) in expected.items():
+            assert got[slot][1:] == (full[0], b, edge)
+            counts[1] += not geometry[graph.rank_of[b]][3]
+        # The item keys order and tie exactly as the tuples.
+        pairs = sorted((full, got[slot][0]) for slot, (full, _, _) in expected.items())
+        for (f1, k1), (f2, k2) in zip(pairs, pairs[1:]):
+            assert (f1 < f2) == (k1 < k2) and (f1 == f2) == (k1 == k2)
+        counts[0] += 1
+        return least
+
+    with monkeypatch.context() as patch:
+        patch.setattr(order_cls, "least", checked)
+        distributed_moat_growing(inst)
+    return counts
+
+
+class TestCandidateOrder:
+    """``distributed`` step (b) orders candidates by one int
+    (:class:`repro.core.distributed.CandidateOrder`) where it compared
+    (µ key, owner pair, repr(edge)) tuples; the two must agree."""
+
+    @given(mixed_node_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_rank_pair_orders_as_edge_repr(self, graph):
+        rank = graph.rank_of
+        edges = [(u, v) for u, v, _ in graph.edges()]
+        assert sorted(edges, key=repr) == sorted(
+            edges, key=lambda e: (rank[e[0]], rank[e[1]])
+        )
+
+    def test_winners_match_tuple_order_on_random_seeds(self, monkeypatch):
+        phases = sum(
+            compare_step_b(monkeypatch, make_random_instance(seed))[0]
+            for seed in range(300)
+        )
+        assert phases >= 300
+
+    @pytest.mark.parametrize("seed", [79, 175])
+    def test_winners_match_on_tie_heavy_seeds(self, monkeypatch, seed):
+        phases, _ = compare_step_b(monkeypatch, make_random_instance(
+            seed, n_range=(8, 24), k_range=(2, 5), max_weight=50
+        ))
+        assert phases
+
+    @pytest.mark.parametrize("seed", [1, 26, 65])
+    def test_winners_match_with_satisfied_singletons(self, monkeypatch, seed):
+        phases, inactive = compare_step_b(monkeypatch, make_random_instance(
+            seed, comp_size_range=(1, 3)
+        ))
+        assert phases
+        if seed == 1:
+            assert inactive, "an inactive moat's side is exercised"
+
+    def test_equal_reprs_share_a_key_and_the_first_found_wins(
+        self, monkeypatch
+    ):
+        """Two nodes of one repr take one rank in the code, so edges of
+        one repr tie as their reprs do: at a node the candidate found
+        first in ``graph.edges()`` wins (here the twin of higher graph
+        rank), and the upcast sees one key for all of them."""
+
+        class Twin:
+            def __init__(self, name):
+                self.name = name
+
+            def __repr__(self):
+                return self.name
+
+        p1, p2 = Twin("P"), Twin("P")
+        graph = WeightedGraph(
+            [0, 1, p1, p2],
+            [(0, p1, 2), (0, p2, 2), (p2, 1, 2), (p1, 1, 2)],
+        )
+        assert graph.rank_of[p1] < graph.rank_of[p2]
+        inst = instance_from_components(graph, [[0, 1]])
+        seen = []
+        real = distributed_module.pipelined_filtered_upcast
+
+        def spy(tree, local_items, *args, **kwargs):
+            seen.append(local_items)
+            return real(tree, local_items, *args, **kwargs)
+
+        monkeypatch.setattr(distributed_module, "pipelined_filtered_upcast", spy)
+        assert compare_step_b(monkeypatch, inst)[0] == 1
+        items = seen[0]
+        assert [i.payload for i in items[1]] == [
+            2 * [(u, v) for u, v, _ in graph.edges()].index((1, p2))
+        ]
+        assert len({i.key for held in items.values() for i in held}) == 1
+        assert sum(map(len, items.values())) == 3
